@@ -403,19 +403,19 @@ func sortedQubits(last map[int]int) []int {
 
 // fanShots runs p's shots through the machine pool of its context and
 // backend kind, replaying the program's shared execution plan (lowered
-// on first use); when the plan cannot be built it falls back to the
-// semantically identical interpreter path. A non-nil binding routes
-// through the bound-plan loader, patching the plan's parameter slots.
+// on first use). A non-nil binding routes through the bound-plan
+// loader, patching the plan's parameter slots.
 func (s *Simulator) fanShots(ctx context.Context, p *Program, b *plan.Binding, kind string, noFusion bool, seed int64, shots, workers int,
 	observe func(shot int, m *microarch.Machine, runErr error) error) error {
 	pool := s.pool(p.st, kind, noFusion)
 	if b != nil {
 		return pool.FanPlanBound(ctx, b, seed, shots, workers, observe)
 	}
-	if ex, _, err := p.executable(); err == nil {
-		return pool.FanPlan(ctx, ex, seed, shots, workers, observe)
+	ex, _, err := p.executable()
+	if err != nil {
+		return err
 	}
-	return pool.FanShots(ctx, p.prog, seed, shots, workers, observe)
+	return pool.FanPlan(ctx, ex, seed, shots, workers, observe)
 }
 
 // runPlan is one request's resolved execution parameters.

@@ -733,55 +733,6 @@ func BenchmarkPublicAPIRunShots(b *testing.B) {
 	})
 }
 
-// BenchmarkPlanVsInterpreter measures the decode-once refactor
-// directly: the same shipped fixtures, shot for shot on one machine,
-// first re-interpreting isa.Instr every shot (the pre-plan hot path,
-// kept as the semantic reference), then replaying the pre-lowered
-// plan.Executable with kernel-specialized gates. The two paths are
-// bit-identical at a fixed seed (plan_parity_test.go); this benchmark
-// exists to show the plan path's shots/s ≥ 1.5× the interpreter's.
-func BenchmarkPlanVsInterpreter(b *testing.B) {
-	const shots = 256
-	for _, name := range []string{"bell", "loop", "active_reset"} {
-		src, err := os.ReadFile(filepath.Join("testdata", "programs", name+".eqasm"))
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys, err := core.NewSystem(core.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		prog, err := sys.Asm.Assemble(string(src))
-		if err != nil {
-			b.Fatal(err)
-		}
-		ex, err := plan.Build(prog, sys.Topo, sys.OpConfig)
-		if err != nil {
-			b.Fatal(err)
-		}
-		run := func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := sys.RunShots(shots, nil); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(b.N)*shots/b.Elapsed().Seconds(), "shots/s")
-		}
-		b.Run(name+"/interpreter", func(b *testing.B) {
-			sys.LoadInterpreted(prog)
-			b.ResetTimer()
-			run(b)
-		})
-		b.Run(name+"/plan", func(b *testing.B) {
-			if err := sys.LoadPlan(ex); err != nil {
-				b.Fatal(err)
-			}
-			b.ResetTimer()
-			run(b)
-		})
-	}
-}
-
 // BenchmarkFusion measures plan-time gate fusion on the shipped
 // non-Clifford fixtures: the same program at the same seed, fusion on
 // versus off, in shots/s. The state-vector backend pays one pass over

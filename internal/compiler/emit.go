@@ -5,13 +5,11 @@ import (
 	"eqasm/internal/topology"
 )
 
-// Emitter generates executable eQASM from a schedule. It survives from
-// the pre-pipeline compiler as a thin delegating wrapper (mirroring the
-// core.ParallelShots → FanShots precedent): Emit drives the pack,
-// mask-register allocation, timing-lowering and emit passes over the
-// schedule's IR, so pre-pipeline callers (experiments, benchmarks,
-// retargeting) compile unchanged while new code composes the passes
-// directly or goes through NewPipeline.
+// Emitter generates executable eQASM from a schedule. Emit drives the
+// pack, mask-register allocation, timing-lowering and emit passes over
+// the schedule's IR for callers holding a Schedule (experiments,
+// benchmarks, retargeting); new code composes the passes directly or
+// goes through NewPipeline.
 type Emitter struct {
 	Config *isa.OpConfig
 	Topo   *topology.Topology

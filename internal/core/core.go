@@ -7,7 +7,6 @@
 package core
 
 import (
-	"context"
 	"fmt"
 
 	"eqasm/internal/asm"
@@ -110,24 +109,18 @@ func (s *System) Load(src string) error {
 	if err != nil {
 		return err
 	}
-	s.LoadProgram(p)
-	return nil
+	return s.LoadProgram(p)
 }
 
 // LoadProgram uploads an already-assembled program, lowering it once
-// into a decode-once execution plan: repeated runs (shot loops) replay
-// the pre-resolved plan instead of re-interpreting isa.Instr. When the
-// plan cannot be built or loaded the machine falls back to the
-// interpreter, which has identical semantics.
-func (s *System) LoadProgram(p *isa.Program) {
+// into a decode-once execution plan that repeated runs (shot loops)
+// replay.
+func (s *System) LoadProgram(p *isa.Program) error {
+	if err := s.Machine.LoadProgram(p); err != nil {
+		return err
+	}
 	s.program = p
-	ex, err := plan.Build(p, s.Topo, s.OpConfig)
-	if err == nil {
-		err = s.Machine.LoadPlan(ex)
-	}
-	if err != nil {
-		s.Machine.LoadProgram(p)
-	}
+	return nil
 }
 
 // LoadPlan uploads a pre-lowered execution plan (built once, shared
@@ -143,16 +136,6 @@ func (s *System) LoadPlan(ex *plan.Executable) error {
 func (s *System) LoadBoundPlan(b *plan.Binding) error {
 	s.program = b.Plan().Program()
 	return s.Machine.LoadBoundPlan(b)
-}
-
-// LoadInterpreted uploads an already-assembled program for interpreted
-// execution, bypassing the plan layer. The interpreter re-resolves
-// operations and masks on every run; it exists as the semantic
-// reference the plan path is tested against (and for tooling that
-// inspects raw instruction execution).
-func (s *System) LoadInterpreted(p *isa.Program) {
-	s.program = p
-	s.Machine.LoadProgram(p)
 }
 
 // Program returns the loaded program.
@@ -193,46 +176,6 @@ func (s *System) RunShots(shots int, collect func(shot int, m *microarch.Machine
 // SeedStride separates the random streams of sibling executions: worker
 // w (or service batch w) runs at base seed + w*SeedStride.
 const SeedStride = 1_000_003
-
-// ParallelShots distributes repeated executions of an assembly program
-// over worker goroutines, each with its own machine (machines are not
-// concurrency safe; the chips are independent anyway). Workers derive
-// their random streams from opts.Seed plus the worker index, so results
-// are reproducible for a fixed worker count. collect is called serially.
-//
-// Deprecated: ParallelShots is a thin veneer over SystemPool.FanShots,
-// the single shot fan-out code path also backing the public eqasm
-// Backend. New code should use the eqasm package (or FanShots directly
-// inside this module) and gain machine pooling and per-shot context
-// cancellation; this wrapper remains for source compatibility.
-func ParallelShots(opts Options, src string, shots, workers int,
-	collect func(shot int, m *microarch.Machine)) error {
-	// Resolve context defaults once, so the probe system, the pool and
-	// every plan lowered through it share one topology/configuration.
-	opts = opts.withDefaults()
-	sys, err := NewSystem(opts)
-	if err != nil {
-		return err
-	}
-	prog, err := sys.Asm.Assemble(src)
-	if err != nil {
-		return fmt.Errorf("core: shot 0: %w", err)
-	}
-	pool := NewSystemPool(opts)
-	// Seed worker 0's checkout with the probe system; Get reseeds it, so
-	// the run is indistinguishable from a fresh build.
-	pool.Put(sys)
-	return pool.FanShots(context.Background(), prog, opts.Seed, shots, workers,
-		func(shot int, m *microarch.Machine, runErr error) error {
-			if runErr != nil {
-				return fmt.Errorf("core: shot %d: %w", shot, runErr)
-			}
-			if collect != nil {
-				collect(shot, m)
-			}
-			return nil
-		})
-}
 
 // Reseed restarts the machine's random stream (backend permitting): the
 // next Reset+Run sequence then reproduces a system freshly built with

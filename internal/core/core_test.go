@@ -1,9 +1,12 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"testing"
 
+	"eqasm/internal/asm"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 	"eqasm/internal/topology"
@@ -118,16 +121,36 @@ func TestNoiseWiring(t *testing.T) {
 	}
 }
 
-func TestParallelShots(t *testing.T) {
+// fanAssembly lowers src under a fresh pool's context and fans it out
+// through FanPlan at opts.Seed.
+func fanAssembly(t *testing.T, opts Options, src string, shots, workers int,
+	observe func(shot int, m *microarch.Machine, runErr error) error) error {
+	t.Helper()
+	pool := NewSystemPool(opts)
+	prog, err := asm.New(pool.Options().OpConfig, pool.Options().Topology).Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ex, err := pool.Plan(prog)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pool.FanPlan(context.Background(), ex, opts.Seed, shots, workers, observe)
+}
+
+func TestFanPlan(t *testing.T) {
 	const shots = 400
 	ones := 0
 	seen := map[int]bool{}
-	err := ParallelShots(Options{Seed: 11}, `
+	err := fanAssembly(t, Options{Seed: 11}, `
 SMIS S0, {0}
 X90 S0
 MEASZ S0
 STOP
-`, shots, 4, func(shot int, m *microarch.Machine) {
+`, shots, 4, func(shot int, m *microarch.Machine, runErr error) error {
+		if runErr != nil {
+			return runErr
+		}
 		if seen[shot] {
 			t.Errorf("shot %d collected twice", shot)
 		}
@@ -135,9 +158,10 @@ STOP
 		recs := m.Measurements()
 		if len(recs) != 1 {
 			t.Errorf("shot %d has %d measurements", shot, len(recs))
-			return
+			return nil
 		}
 		ones += recs[0].Result
+		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -151,17 +175,30 @@ STOP
 	}
 }
 
-func TestParallelShotsPropagatesErrors(t *testing.T) {
-	err := ParallelShots(Options{}, "FROBNICATE S0\nSTOP", 4, 2, nil)
-	if err == nil {
-		t.Fatal("bad program accepted")
+// A shot's run-time fault, as recorded by observe, stops the fan-out
+// and comes back from FanPlan.
+func TestFanPlanPropagatesErrors(t *testing.T) {
+	observed := 0
+	err := fanAssembly(t, Options{}, "LDI R1, -8\nLD R2, R1(0)\nSTOP", 4, 2,
+		func(_ int, _ *microarch.Machine, runErr error) error {
+			observed++
+			return runErr
+		})
+	var rerr *microarch.RuntimeError
+	if !errors.As(err, &rerr) {
+		t.Fatalf("FanPlan = %v, want the shot's *microarch.RuntimeError", err)
+	}
+	if observed != 1 {
+		t.Fatalf("observed %d shots after the first failure stopped the fan-out, want 1", observed)
 	}
 }
 
-func TestParallelShotsWorkerClamping(t *testing.T) {
+// More workers than shots clamp to one worker per shot.
+func TestFanPlanWorkerClamping(t *testing.T) {
 	count := 0
-	err := ParallelShots(Options{}, "NOP\nSTOP", 3, 16, func(int, *microarch.Machine) {
+	err := fanAssembly(t, Options{}, "NOP\nSTOP", 3, 16, func(_ int, _ *microarch.Machine, runErr error) error {
 		count++
+		return runErr
 	})
 	if err != nil {
 		t.Fatal(err)

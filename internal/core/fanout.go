@@ -56,13 +56,14 @@ func (p *SystemPool) Get(seed int64) (*System, error) {
 // Put returns a System for reuse.
 func (p *SystemPool) Put(sys *System) { p.pool.Put(sys) }
 
-// FanShots is the one shot-execution code path of the stack: it runs
-// prog for shots repetitions distributed over worker goroutines, each on
-// its own pooled machine (machines are not concurrency safe). Worker w
-// executes the contiguous shot range starting at w*ceil(shots/workers)
-// with random stream baseSeed + w*SeedStride, so results are
-// reproducible for a fixed worker count — and workers == 1 is
-// bit-identical to a sequential System.RunShots run at baseSeed.
+// FanPlan is the one shot-execution code path of the stack: it runs a
+// pre-lowered execution plan for shots repetitions distributed over
+// worker goroutines, each on its own pooled machine (machines are not
+// concurrency safe) sharing the plan read-only. Worker w executes the
+// contiguous shot range starting at w*ceil(shots/workers) with random
+// stream baseSeed + w*SeedStride, so results are reproducible for a
+// fixed worker count — and workers == 1 is bit-identical to a
+// sequential System.RunShots run at baseSeed.
 //
 // observe is called serially for every shot in flight: runErr is that
 // shot's execution failure (nil on success, with m holding the
@@ -74,25 +75,6 @@ func (p *SystemPool) Put(sys *System) { p.pool.Put(sys) }
 //
 // ctx is checked between shots; cancellation stops the fan-out and
 // returns context.Cause(ctx) without observing the remaining shots.
-//
-// The program is lowered once into a decode-once execution plan that
-// every worker's machine shares read-only; use FanPlan to reuse an
-// already-built plan across calls.
-func (p *SystemPool) FanShots(ctx context.Context, prog *isa.Program, baseSeed int64,
-	shots, workers int, observe func(shot int, m *microarch.Machine, runErr error) error) error {
-	if shots <= 0 {
-		return nil
-	}
-	if ex, err := p.Plan(prog); err == nil {
-		return p.FanPlan(ctx, ex, baseSeed, shots, workers, observe)
-	}
-	return p.fan(ctx, baseSeed, shots, workers, observe,
-		func(sys *System) error { sys.LoadInterpreted(prog); return nil })
-}
-
-// FanPlan is FanShots over a pre-lowered execution plan: the plan is
-// built once (typically cached alongside the program) and shared
-// read-only by every pooled machine.
 func (p *SystemPool) FanPlan(ctx context.Context, ex *plan.Executable, baseSeed int64,
 	shots, workers int, observe func(shot int, m *microarch.Machine, runErr error) error) error {
 	if shots <= 0 {

@@ -114,7 +114,9 @@ func RunRBTiming(opts RBTimingOptions) (*RBTimingResult, error) {
 			for r := 0; r < opts.Randomizations; r++ {
 				seq := quantum.NewRBSequence(k, rng)
 				prog := rbProgram(opts.Qubit, seq.Primitives(), iv)
-				sys.LoadProgram(prog)
+				if err := sys.LoadProgram(prog); err != nil {
+					return nil, fmt.Errorf("rb interval %d k %d: %w", iv, k, err)
+				}
 				sys.Machine.Reset()
 				if err := sys.Machine.Run(); err != nil {
 					return nil, fmt.Errorf("rb interval %d k %d: %w", iv, k, err)

@@ -99,7 +99,9 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 		if err != nil {
 			return 0, err
 		}
-		sys.LoadProgram(prog)
+		if err := sys.LoadProgram(prog); err != nil {
+			return 0, err
+		}
 		if err := sys.Run(); err != nil {
 			return 0, err
 		}

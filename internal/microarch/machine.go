@@ -15,6 +15,10 @@ import (
 // programs on the stabilizer backend.
 const MaxSVQubits = 26
 
+// MaxDMQubits is the largest register the density-matrix backend
+// supports.
+const MaxDMQubits = 6
+
 // Machine is one QuMA_v2 quantum processor instance: architectural state
 // (Fig. 2), microarchitectural state (Fig. 9) and the simulated chip.
 type Machine struct {
@@ -26,13 +30,12 @@ type Machine struct {
 	specBE quantum.SpecBackend
 	cstore *ControlStore
 
+	// program is the loaded plan's source program, which fault reports
+	// quote; exec is the decode-once plan the pipeline executes.
 	program []isa.Instr
-	// exec and the planned target-register files are set by LoadPlan:
-	// when exec is non-nil the machine executes the decode-once plan
-	// instead of interpreting program.
-	exec *plan.Executable
+	exec    *plan.Executable
 	// binding patches the plan's symbolic parameter slots with bound
-	// kernels; nil for non-parametric plans and interpreted execution.
+	// kernels; nil for non-parametric plans.
 	binding *plan.Binding
 	// fusionOK records whether this machine's configuration admits
 	// fused execution (built-in SV/DM backend, zero noise, fusion not
@@ -131,6 +134,10 @@ func New(cfg Config) (*Machine, error) {
 			}
 			m.backend = stabilizer.New(cfg.Topo.NumQubits, cfg.Seed)
 		case cfg.UseDensityMatrix:
+			if cfg.Topo.NumQubits > MaxDMQubits {
+				return nil, fmt.Errorf("microarch: %d qubits exceed the %d-qubit density-matrix limit",
+					cfg.Topo.NumQubits, MaxDMQubits)
+			}
 			m.backend = quantum.NewDMBackend(cfg.Topo.NumQubits, cfg.Noise, cfg.Seed)
 		default:
 			if cfg.Topo.NumQubits > MaxSVQubits {
@@ -186,19 +193,19 @@ func New(cfg Config) (*Machine, error) {
 	return m, nil
 }
 
-// LoadProgram installs an assembled program for interpreted execution
-// and resets execution state (the quantum state and data memory are
-// preserved, as when the host CPU uploads new quantum code). Hot shot
-// loops should lower the program once with plan.Build and use LoadPlan;
-// the interpreter path re-resolves operation names, control-store
-// entries and target masks on every execution.
-func (m *Machine) LoadProgram(p *isa.Program) {
-	m.program = p.Instrs
-	m.exec = nil
-	m.binding = nil
-	m.fused = false
-	m.pinst = nil
-	m.resetExecState()
+// LoadProgram lowers an assembled program into a decode-once execution
+// plan under the machine's instruction-set context and installs it,
+// resetting execution state (the quantum state and data memory are
+// preserved, as when the host CPU uploads new quantum code). Programs
+// with symbolic parameters fail here; bind them and use LoadBoundPlan.
+// Hot shot loops should lower the program once with plan.Build and
+// share the plan through LoadPlan.
+func (m *Machine) LoadProgram(p *isa.Program) error {
+	ex, err := plan.Build(p, m.cfg.Topo, m.cfg.OpConfig)
+	if err != nil {
+		return err
+	}
+	return m.loadPlan(ex, nil)
 }
 
 // LoadPlan installs a decode-once execution plan. The plan is shared
@@ -242,9 +249,8 @@ func (m *Machine) loadPlan(ex *plan.Executable, b *plan.Binding) error {
 	m.pinst = ex.Instrs()
 	m.resetExecState()
 	// Architectural S/T registers survive program uploads; re-derive
-	// the pre-expanded views for any live register state so a plan
-	// loaded over a previous program's registers behaves exactly like
-	// the interpreter reading the raw masks.
+	// the pre-expanded views for any live register state so bundles of
+	// the new plan read exactly the masks the registers hold.
 	for i, v := range m.sRegs {
 		if v != 0 || anyMaskWords(m.sRegsHi[i]) {
 			m.sSets[i] = plan.ExpandTargetsWide(v, m.sRegsHi[i], m.cfg.Topo)
@@ -276,8 +282,7 @@ func (m *Machine) LoadBinary(words []uint32) error {
 	if err != nil {
 		return err
 	}
-	m.LoadProgram(p)
-	return nil
+	return m.LoadProgram(p)
 }
 
 func (m *Machine) resetExecState() {
@@ -552,7 +557,7 @@ func (m *Machine) Stats() Stats { return m.stats }
 // ExecutedGateProfile returns the kernel profile of the loaded plan as
 // this machine executes it: the fused per-application profile when the
 // machine runs the plan with fusion, the static per-site profile
-// otherwise (interpreted execution has no plan and returns nil).
+// otherwise (nil before any program is loaded).
 func (m *Machine) ExecutedGateProfile() map[string]int {
 	if m.exec == nil {
 		return nil

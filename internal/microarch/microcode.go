@@ -8,9 +8,8 @@ import (
 // The microcode unit of Fig. 9 (the Q control store, its
 // microinstructions and roles) lives in internal/plan, where the
 // decode-once execution-plan builder resolves control-store entries
-// ahead of the timing-critical pipeline. The microarchitecture's
-// interpreter path consumes the same tables through these aliases, so
-// both execution paths share one microcode implementation.
+// ahead of the timing-critical pipeline; these aliases expose it as
+// part of the microarchitecture.
 
 // MicroRole distinguishes the micro-operations of one instruction-level
 // operation.

@@ -1,11 +1,6 @@
 package microarch
 
-import (
-	"fmt"
-
-	"eqasm/internal/isa"
-	"eqasm/internal/quantum"
-)
+import "fmt"
 
 // OpSel is the two-bit micro-operation selection signal of Table 2,
 // produced per qubit when a mask-addressed operation is resolved.
@@ -105,69 +100,6 @@ func (m *Machine) earliestCycle() int64 {
 	return (readyTick + ct - 1) / ct
 }
 
-// issueBundle runs a quantum bundle through the VLIW front end: PI
-// advances the timeline, then each operation is decoded by the microcode
-// unit, its target register is read, the mask is resolved to per-qubit
-// micro-operations, and the operation combination stage checks for qubit
-// collisions before handing device events to the timing unit.
-func (m *Machine) issueBundle(ins isa.Instr) {
-	m.ensureTimeline()
-	m.stats.BundlesIssued++
-	m.lastPointCycle += int64(ins.PI)
-	if len(ins.QOps) == 0 {
-		return
-	}
-	point := m.lastPointCycle
-	if point < m.earliestCycle() {
-		m.fail(&TimingViolationError{PC: m.pc, PointCycle: point, EarliestCycle: m.earliestCycle()})
-		return
-	}
-	for _, q := range ins.QOps {
-		def, ok := m.cfg.OpConfig.ByName(q.Name)
-		if !ok {
-			m.fail(&RuntimeError{PC: m.pc, Instr: ins, Tick: m.tick,
-				Msg: fmt.Sprintf("operation %q is not configured", q.Name)})
-			return
-		}
-		switch {
-		case def.Parametric && q.Param != "":
-			// Symbolic angles only resolve through a plan binding's patch
-			// table; the interpreter has no parameter values.
-			m.fail(&RuntimeError{PC: m.pc, Instr: ins, Tick: m.tick,
-				Msg: fmt.Sprintf("operation %q has unbound parameter %q; parametric programs require planned execution with a bound plan", q.Name, q.Param)})
-			return
-		case def.Parametric:
-			// Literal angle: instantiate the rotation for this site (the
-			// configured def's Unitary1 is an advisory placeholder).
-			d2 := *def
-			d2.Unitary1 = quantum.Rotation(def.Axis, q.Angle)
-			def = &d2
-		case q.Angle != 0 || q.Param != "":
-			m.fail(&RuntimeError{PC: m.pc, Instr: ins, Tick: m.tick,
-				Msg: fmt.Sprintf("operation %q takes no angle operand", q.Name)})
-			return
-		}
-		// Microcode unit: the q-opcode selects the microinstruction(s)
-		// from the Q control store (Section 3.2: assembler and microcode
-		// unit must be configured consistently).
-		micro, ok := m.cstore.Lookup(def.Opcode)
-		if !ok {
-			m.fail(&RuntimeError{PC: m.pc, Instr: ins, Tick: m.tick,
-				Msg: fmt.Sprintf("q-opcode %d (%s) missing from the Q control store", def.Opcode, q.Name)})
-			return
-		}
-		switch def.Kind {
-		case isa.OpKindTwo:
-			m.issuePairOp(def, micro, m.tRegs[q.Target], m.tRegsHi[q.Target], point)
-		default:
-			m.issueSingleOp(def, micro, m.sRegs[q.Target], m.sRegsHi[q.Target], point)
-		}
-		if m.err != nil {
-			return
-		}
-	}
-}
-
 // claim registers a qubit as busy at a timing point, failing on
 // collisions: "if two different quantum bundle instructions specify a
 // quantum operation on the same qubit, an error is raised, and the
@@ -181,74 +113,4 @@ func (m *Machine) claim(qubit int, cycle int64, opName string) bool {
 	m.claimCycle[qubit] = cycle
 	m.claimOp[qubit] = opName
 	return true
-}
-
-func (m *Machine) issueSingleOp(def *isa.OpDef, micro []MicroOp, mask uint64, hi []uint64, point int64) {
-	qubits := isa.MaskQubitsWide(mask, hi)
-	for _, q := range qubits {
-		if q >= m.cfg.Topo.NumQubits {
-			m.fail(&RuntimeError{PC: m.pc, Instr: m.current(), Tick: m.tick,
-				Msg: fmt.Sprintf("target mask %#x addresses qubits beyond the %d-qubit chip",
-					mask, m.cfg.Topo.NumQubits)})
-			return
-		}
-	}
-	for _, q := range qubits {
-		if !m.claim(q, point, def.Name) {
-			return
-		}
-		kind := evGate1
-		if def.Kind == isa.OpKindMeasure {
-			kind = evMeasure
-			if m.cfg.Topo.Feedline(q) < 0 {
-				m.fail(&RuntimeError{PC: m.pc, Instr: m.current(), Tick: m.tick,
-					Msg: noFeedlineMsg(q)})
-				return
-			}
-			// Section 3.6 step 1: Qi is invalidated the moment the
-			// measurement instruction is issued.
-			m.measCounters[q]++
-		}
-		m.pushEvent(gateEvent{cycle: point, kind: kind, def: def, micro: micro, qubit: int32(q), pc: int32(m.pc)})
-	}
-}
-
-// noFeedlineMsg is the fault message both execution paths raise when a
-// measurement addresses a qubit with no feedline.
-func noFeedlineMsg(q int) string {
-	return fmt.Sprintf("qubit %d has no feedline to measure through", q)
-}
-
-func (m *Machine) issuePairOp(def *isa.OpDef, micro []MicroOp, mask uint64, hi []uint64, point int64) {
-	edges := isa.MaskQubitsWide(mask, hi)
-	for _, id := range edges {
-		if id >= len(m.cfg.Topo.Edges) {
-			m.fail(&RuntimeError{PC: m.pc, Instr: m.current(), Tick: m.tick,
-				Msg: fmt.Sprintf("pair mask %#x addresses edges beyond the chip's %d allowed pairs",
-					mask, len(m.cfg.Topo.Edges))})
-			return
-		}
-	}
-	sel := make([]OpSel, m.cfg.Topo.NumQubits)
-	for _, id := range edges {
-		e := m.cfg.Topo.Edges[id]
-		for _, role := range []struct {
-			q int
-			s OpSel
-		}{{e.Src, SelSrc}, {e.Tgt, SelTgt}} {
-			if sel[role.q] != SelNone {
-				m.fail(&RuntimeError{PC: m.pc, Instr: m.current(), Tick: m.tick,
-					Msg: fmt.Sprintf("pair mask %#x selects two edges sharing qubit %d", mask, role.q)})
-				return
-			}
-			sel[role.q] = role.s
-		}
-	}
-	for _, id := range edges {
-		e := m.cfg.Topo.Edges[id]
-		if !m.claim(e.Src, point, def.Name) || !m.claim(e.Tgt, point, def.Name) {
-			return
-		}
-		m.pushEvent(gateEvent{cycle: point, kind: evGate2, def: def, micro: micro, qubit: int32(e.Src), tgt: int32(e.Tgt), pc: int32(m.pc)})
-	}
 }

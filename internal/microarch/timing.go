@@ -10,21 +10,13 @@ import (
 
 // gateEvent is a device operation queued in the timing control unit,
 // awaiting its timing point. The struct is kept compact (it is copied
-// through the event heap on every push and pop): the planned path sets
-// only op, from which dispatch reads the operation definition,
-// microinstructions, precomputed duration and classified kernel; the
-// interpreter path sets def and micro instead.
+// through the event heap on every push and pop): dispatch reads the
+// operation definition, microinstructions, precomputed duration and
+// classified kernel from the pre-resolved plan operation.
 type gateEvent struct {
 	cycle int64
 	seq   int64 // insertion order for stable triggering
-	// op is the pre-resolved plan operation (nil on the interpreter
-	// path).
-	op  *plan.BundleOp
-	def *isa.OpDef // interpreter path only; use resolve()
-	// micro holds the Q-control-store microinstructions: one entry for
-	// single-qubit operations and measurements, (µ-op_src, µ-op_tgt) for
-	// two-qubit operations. Interpreter path only; use resolve().
-	micro []MicroOp
+	op    *plan.BundleOp
 	qubit int32 // acting qubit (source qubit for two-qubit operations)
 	tgt   int32 // target qubit for two-qubit operations
 	pc    int32
@@ -35,15 +27,6 @@ type gateEvent struct {
 	// kernel. All other dispatch semantics — triggering, collision
 	// checks, timing, device trace, stats — are unchanged either way.
 	fuse *plan.FusedKernel
-}
-
-// resolve returns the event's operation definition and
-// microinstructions, from the plan on the planned path.
-func (e *gateEvent) resolve() (*isa.OpDef, []MicroOp) {
-	if e.op != nil {
-		return e.op.Def, e.op.Micro
-	}
-	return e.def, e.micro
 }
 
 type eventKind uint8
@@ -156,13 +139,7 @@ func (m *Machine) triggerCycle(cycle int64) {
 
 func (m *Machine) dispatch(e *gateEvent) {
 	tNs := e.cycle * m.CycleNs()
-	def, micro := e.resolve()
-	var durNs float64
-	if e.op != nil {
-		durNs = e.op.DurNs
-	} else {
-		durNs = m.cfg.OpConfig.DurationNs(def)
-	}
+	def, micro, durNs := e.op.Def, e.op.Micro, e.op.DurNs
 	outNs := tNs + int64(m.cfg.OutputDelayNs)
 	qubit, tgt := int(e.qubit), int(e.tgt)
 	switch e.kind {
@@ -192,7 +169,7 @@ func (m *Machine) dispatch(e *gateEvent) {
 					m.backend.Apply1(e.fuse.Spec1.U, qubit, durNs)
 				}
 			}
-		} else if e.op != nil {
+		} else {
 			// Parametric sites resolve their kernel through the loaded
 			// binding's patch table; everything else was classified at
 			// plan-build time. The spec's matrix feeds the generic path
@@ -206,8 +183,6 @@ func (m *Machine) dispatch(e *gateEvent) {
 			} else {
 				m.backend.Apply1(sp.U, qubit, durNs)
 			}
-		} else {
-			m.backend.Apply1(def.Unitary1, qubit, durNs)
 		}
 		m.qubitLocalNs[qubit] = float64(tNs) + durNs
 		m.record(DeviceOp{TimeNs: outNs, Cycle: e.cycle, Channel: mo.Channel,
@@ -228,7 +203,7 @@ func (m *Machine) dispatch(e *gateEvent) {
 					m.backend.Apply2(e.fuse.Spec2.U, qubit, tgt, durNs)
 				}
 			}
-		} else if e.op != nil && m.specBE != nil {
+		} else if m.specBE != nil {
 			m.specBE.Apply2Spec(e.op.Spec2, qubit, tgt, durNs)
 		} else if def.Unitary2 == quantum.CZ {
 			m.backend.ApplyCZ(qubit, tgt, durNs)

@@ -16,7 +16,7 @@ import (
 // drives the assembler, closing the Section 3.2 consistency requirement.
 // It lives in the plan package because the execution-plan builder is the
 // component that resolves control-store entries ahead of time; the
-// microarchitecture re-exports the types for its interpreter path.
+// microarchitecture re-exports the types.
 
 // MicroRole distinguishes the micro-operations of one instruction-level
 // operation.

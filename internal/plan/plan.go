@@ -10,18 +10,15 @@
 // cost is paid ahead of the timing-critical pipeline: the binary is
 // decoded, the microcode unit is configured, and target registers
 // resolve masks set up in advance, so triggering a quantum operation is
-// a table walk, not a decode. The interpreter in internal/microarch
-// re-resolved operation names, control-store entries and target masks
-// on every shot; Build performs that resolution exactly once, and every
-// pooled machine replaying the program shares the read-only result.
+// a table walk, not a decode. Build resolves operation names,
+// control-store entries and target masks exactly once, and every pooled
+// machine replaying the program shares the read-only result.
 //
-// Semantics are preserved exactly, including failure behaviour:
-// configuration errors the interpreter would raise at issue time
-// (an unconfigured operation, a mask addressing qubits beyond the
-// chip, a pair mask selecting edges that share a qubit) are not build
-// failures — they are recorded on the lowered operation or target set
-// and surface with the interpreter's message if and when that
-// instruction actually executes.
+// Configuration errors that eQASM raises at issue time (an unconfigured
+// operation, a mask addressing qubits beyond the chip, a pair mask
+// selecting edges that share a qubit) are not build failures: they are
+// recorded on the lowered operation or target set and fault the machine
+// if and when that instruction actually executes.
 package plan
 
 import (
@@ -71,9 +68,9 @@ type TargetSet struct {
 	Qubits []int
 	// Pairs is the edge list of a SMIT mask, in edge-ID order.
 	Pairs []Pair
-	// SingleErr/PairErr carry the issue-time error the interpreter
-	// would raise when a bundle reads this register for a single- or
-	// two-qubit operation ("" = valid). Deferred rather than raised at
+	// SingleErr/PairErr carry the issue-time error the machine raises
+	// when a bundle reads this register for a single- or two-qubit
+	// operation ("" = valid). Deferred rather than raised at
 	// build time: a register holding an invalid mask is only a fault
 	// when a bundle actually uses it.
 	SingleErr string
@@ -123,7 +120,7 @@ type BundleOp struct {
 	// resolved through a Binding's patch table, not baked into the plan.
 	Param *ParamRef
 	// ErrMsg defers a configuration error (unknown operation name) to
-	// the moment the bundle issues, matching interpreter semantics.
+	// the moment the bundle issues.
 	ErrMsg string
 	// Fused holds the fusion annotations of this site's targets, one
 	// entry per target-set slot (qubit for 1q sites, pair for 2q sites),
@@ -371,7 +368,7 @@ func gate2KindName(k quantum.Gate2Kind) string {
 
 // controlStores interns one Q control store per live operation
 // configuration, so every plan lowered under the same configuration —
-// and every machine interpreting under it — shares one pre-built
+// and every machine running under it — shares one pre-built
 // microcode table. Keys are weak: when a configuration becomes
 // unreachable its entry is removed, so callers that build throwaway
 // configurations (every defaulted NewSystem allocates one) do not grow
@@ -402,9 +399,8 @@ func InternControlStore(cfg *isa.OpConfig) *ControlStore {
 
 // Build lowers prog into an Executable for the given chip topology and
 // operation configuration. It fails only on missing inputs; program
-// content that the interpreter would fault on at run time (unknown
-// operations, invalid masks) lowers to deferred errors that reproduce
-// the interpreter's behaviour when executed.
+// content that faults at run time (unknown operations, invalid masks)
+// lowers to deferred errors raised when the instruction executes.
 func Build(prog *isa.Program, topo *topology.Topology, opCfg *isa.OpConfig) (*Executable, error) {
 	if prog == nil {
 		return nil, fmt.Errorf("plan: nil program")
@@ -584,8 +580,7 @@ func maskHighBits(lo uint64, hi []uint64, n int) bool {
 }
 
 // expandSingle resolves the mask as a single-qubit (S register) target
-// list, recording the interpreter's issue-time error for out-of-range
-// masks.
+// list, recording the issue-time error for out-of-range masks.
 func expandSingle(ts *TargetSet, topo *topology.Topology) {
 	n := topo.NumQubits
 	if maskHighBits(ts.Mask, ts.MaskHi, n) {
@@ -601,9 +596,9 @@ func expandSingle(ts *TargetSet, topo *topology.Topology) {
 }
 
 // expandPair resolves the mask as a two-qubit (T register) edge list,
-// recording the interpreter's issue-time errors for out-of-range masks
-// and for pair selections sharing a qubit. Checks run in the
-// interpreter's order: range first, then qubit sharing.
+// recording the issue-time errors for out-of-range masks and for pair
+// selections sharing a qubit. Range is checked first, then qubit
+// sharing.
 func expandPair(ts *TargetSet, topo *topology.Topology) {
 	edges := topo.Edges
 	if maskHighBits(ts.Mask, ts.MaskHi, len(edges)) {

@@ -99,8 +99,7 @@ func TestBuildDedupesTargetSets(t *testing.T) {
 
 func TestBuildDefersConfigErrors(t *testing.T) {
 	// Unknown operation names and invalid masks must not fail the
-	// build: the interpreter only faults when the instruction
-	// executes, and the plan preserves that.
+	// build: the machine only faults when the instruction executes.
 	ex := buildFor(t,
 		isa.Instr{Op: isa.OpSMIS, Addr: 0, Mask: 1 << 60},
 		isa.Instr{Op: isa.OpSMIT, Addr: 0, Mask: 1 << 60},

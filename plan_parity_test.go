@@ -1,15 +1,25 @@
-// Plan/interpreter parity: the decode-once execution plan must be
-// bit-identical to the interpreter it replaced. Every shipped fixture
-// runs through both paths at fixed seeds — ideal and noisy, state
-// vector and density matrix — and per-shot measurement records,
-// execution stats and the aggregate histograms must match exactly.
+// Execution goldens: the fixed-seed output of every shipped fixture,
+// frozen from the instruction interpreter the decode-once plan
+// replaced. The plan is the machine's only execution path; these files
+// hold it bit-identical to that interpreter — ideal and noisy, state
+// vector and density matrix — on per-shot measurement records (values
+// and timestamps), per-shot execution stats, histograms and, for one
+// seed per fixture, the device-operation trace.
+//
+// `go test -run 'TestPlanInterpreterParity' -update .` rewrites
+// testdata/golden/exec from the current machine. Only do that
+// deliberately, with a parity argument in the commit message: the
+// files are the semantic reference, not a snapshot of whatever the
+// machine does today.
 package eqasm_test
 
 import (
 	"context"
+	"flag"
+	"fmt"
 	"os"
 	"path/filepath"
-	"reflect"
+	"sort"
 	"strconv"
 	"strings"
 	"testing"
@@ -22,10 +32,13 @@ import (
 	"eqasm/internal/topology"
 )
 
+var updateExecGolden = flag.Bool("update", false, "rewrite testdata/golden/exec from the current machine")
+
 // shotRecord is everything observable about one shot.
 type shotRecord struct {
 	Meas  []microarch.MeasurementRecord
 	Stats microarch.Stats
+	Trace []microarch.DeviceOp
 	Key   string
 }
 
@@ -34,6 +47,7 @@ func recordShot(m *microarch.Machine) shotRecord {
 	r := shotRecord{
 		Meas:  append([]microarch.MeasurementRecord(nil), recs...),
 		Stats: m.Stats(),
+		Trace: append([]microarch.DeviceOp(nil), m.DeviceTrace()...),
 	}
 	last := map[int]int{}
 	qubits := []int{}
@@ -51,51 +65,25 @@ func recordShot(m *microarch.Machine) shotRecord {
 	return r
 }
 
-// runShots executes shots repetitions on a fresh system, loading the
-// program through load, and returns the per-shot records plus the
-// outcome histogram.
-func runShots(t *testing.T, opts core.Options, src string, shots int,
-	load func(*core.System, string) error) ([]shotRecord, map[string]int) {
+// runShots executes shots repetitions on a fresh system and returns
+// the per-shot records.
+func runShots(t *testing.T, opts core.Options, src string, shots int) []shotRecord {
 	t.Helper()
 	sys, err := core.NewSystem(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := load(sys, src); err != nil {
+	if err := sys.Load(src); err != nil {
 		t.Fatal(err)
 	}
 	var records []shotRecord
-	hist := map[string]int{}
 	err = sys.RunShots(shots, func(_ int, m *microarch.Machine) {
-		r := recordShot(m)
-		records = append(records, r)
-		hist[r.Key]++
+		records = append(records, recordShot(m))
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return records, hist
-}
-
-func loadInterpreted(sys *core.System, src string) error {
-	p, err := sys.Asm.Assemble(src)
-	if err != nil {
-		return err
-	}
-	sys.LoadInterpreted(p)
-	return nil
-}
-
-func loadPlanned(sys *core.System, src string) error {
-	p, err := sys.Asm.Assemble(src)
-	if err != nil {
-		return err
-	}
-	ex, err := plan.Build(p, sys.Topo, sys.OpConfig)
-	if err != nil {
-		return err
-	}
-	return sys.LoadPlan(ex)
+	return records
 }
 
 func fixtureSources(t *testing.T) map[string]string {
@@ -158,13 +146,27 @@ func applyFixtureTopo(t *testing.T, opts core.Options, name string) core.Options
 	return opts
 }
 
-// TestPlanInterpreterParity holds the plan path bit-identical to the
-// interpreter on every shipped fixture: identical per-shot measurement
-// records (values and timestamps), identical execution stats, and
-// therefore identical histograms, for several seeds, with and without
-// the calibrated noise model, on both chip simulators.
-func TestPlanInterpreterParity(t *testing.T) {
-	const shots = 40
+// goldenRun is one (configuration, seed) cell of a fixture's golden.
+type goldenRun struct {
+	cfg   string
+	opts  core.Options
+	seed  int64
+	shots int
+}
+
+// header names the run's section in the golden file.
+func (r goldenRun) header() string {
+	return fmt.Sprintf("run %s seed=%d shots=%d", r.cfg, r.seed, r.shots)
+}
+
+// goldenRuns is a fixture's grid: every configuration at three seeds,
+// 40 shots each. The ideal state vector at seed 1 also records the
+// device-operation trace. Large-register fixtures (the chain-chip
+// fusion workloads) run the ideal state vector only, at two seeds and
+// 8 shots — the density matrix at 4^16 entries is out of reach, and
+// noisy trajectories at 2^16 amplitudes make the sweep
+// disproportionately slow; bit-equality needs few shots.
+func goldenRuns(t *testing.T, topoName string) []goldenRun {
 	noisy := quantum.NoiseModel{
 		T1Ns: 30_000, T2Ns: 22_000,
 		Gate1QError: 0.0008, Gate2QError: 0.07, ReadoutError: 0.09,
@@ -178,66 +180,187 @@ func TestPlanInterpreterParity(t *testing.T) {
 		{"density", core.Options{UseDensityMatrix: true}},
 		{"noisy_density", core.Options{Noise: noisy, UseDensityMatrix: true}},
 	}
-	for name, src := range fixtureSources(t) {
-		topoName := fixtureTopo(src)
-		shots, seeds := shots, []int64{1, 7, 12345}
-		if topoName != "" {
-			// Large-register fixtures (the chain-chip fusion workloads)
-			// run the ideal state vector only — the density matrix at
-			// 4^16 entries is out of reach, and noisy trajectories at
-			// 2^16 amplitudes make the sweep disproportionately slow.
-			// Parity is deterministic bit-equality, so a few shots carry
-			// the same evidence.
-			shots, seeds = 8, []int64{1, 7}
+	shots, seeds := 40, []int64{1, 7, 12345}
+	if topoName != "" {
+		configs, shots, seeds = configs[:1], 8, []int64{1, 7}
+	}
+	var runs []goldenRun
+	for _, c := range configs {
+		for _, seed := range seeds {
+			opts := applyFixtureTopo(t, c.opts, topoName)
+			opts.Seed = seed
+			opts.RecordDeviceOps = c.name == "ideal" && seed == 1
+			runs = append(runs, goldenRun{cfg: c.name, opts: opts, seed: seed, shots: shots})
 		}
-		for _, cfg := range configs {
-			if topoName != "" && cfg.name != "ideal" {
-				continue
-			}
-			for _, seed := range seeds {
-				t.Run(name+"/"+cfg.name, func(t *testing.T) {
-					opts := applyFixtureTopo(t, cfg.opts, topoName)
-					opts.Seed = seed
-					ref, refHist := runShots(t, opts, src, shots, loadInterpreted)
-					got, gotHist := runShots(t, opts, src, shots, loadPlanned)
-					if len(got) != len(ref) {
-						t.Fatalf("seed %d: plan ran %d shots, interpreter %d", seed, len(got), len(ref))
-					}
-					for i := range ref {
-						if !reflect.DeepEqual(got[i].Meas, ref[i].Meas) {
-							t.Fatalf("seed %d shot %d: measurement records diverge:\nplan: %+v\ninterp: %+v",
-								seed, i, got[i].Meas, ref[i].Meas)
-						}
-						if got[i].Stats != ref[i].Stats {
-							t.Fatalf("seed %d shot %d: stats diverge:\nplan: %+v\ninterp: %+v",
-								seed, i, got[i].Stats, ref[i].Stats)
-						}
-					}
-					if !reflect.DeepEqual(gotHist, refHist) {
-						t.Fatalf("seed %d: histograms diverge:\nplan: %v\ninterp: %v", seed, gotHist, refHist)
-					}
-				})
-			}
+	}
+	return runs
+}
+
+// renderShot renders one shot as golden lines: histogram key, stats
+// (TicksRun, InstructionsExecuted, BundlesIssued, QuantumOpsTriggered,
+// OpsCancelled, FMRStallTicks, FinalTimeNs), measurements as
+// qubit:result@triggerNs/resultNs, then the device trace if recorded.
+func renderShot(b *strings.Builder, shot int, r shotRecord) {
+	s := r.Stats
+	fmt.Fprintf(b, "shot %d key=%s stats=%d,%d,%d,%d,%d,%d,%d meas=", shot, r.Key,
+		s.TicksRun, s.InstructionsExecuted, s.BundlesIssued, s.QuantumOpsTriggered,
+		s.OpsCancelled, s.FMRStallTicks, s.FinalTimeNs)
+	for i, m := range r.Meas {
+		if i > 0 {
+			b.WriteByte(' ')
+		}
+		fmt.Fprintf(b, "%d:%d@%d/%d", m.Qubit, m.Result, m.TriggerNs, m.ResultNs)
+	}
+	b.WriteByte('\n')
+	for _, op := range r.Trace {
+		fmt.Fprintf(b, "  op t=%d cycle=%d %s[%d] cw=%d %s q%d", op.TimeNs, op.Cycle,
+			op.Channel, op.Device, op.Codeword, op.OpName, op.Qubit)
+		if op.Cancelled {
+			b.WriteString(" cancelled")
+		}
+		b.WriteByte('\n')
+	}
+}
+
+// renderRun renders a run's golden section: header, histogram and
+// every shot.
+func renderRun(r goldenRun, records []shotRecord) string {
+	var b strings.Builder
+	b.WriteString(r.header())
+	b.WriteByte('\n')
+	hist := map[string]int{}
+	for _, rec := range records {
+		hist[rec.Key]++
+	}
+	keys := make([]string, 0, len(hist))
+	for k := range hist {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	b.WriteString("hist")
+	for _, k := range keys {
+		fmt.Fprintf(&b, " %s:%d", k, hist[k])
+	}
+	b.WriteByte('\n')
+	for i, rec := range records {
+		renderShot(&b, i, rec)
+	}
+	return b.String()
+}
+
+func execGoldenPath(fixture string) string {
+	return filepath.Join("testdata", "golden", "exec", fixture+".golden")
+}
+
+// readExecGolden splits a fixture's golden file into its run sections,
+// keyed by header.
+func readExecGolden(t *testing.T, fixture string) map[string]string {
+	t.Helper()
+	data, err := os.ReadFile(execGoldenPath(fixture))
+	if err != nil {
+		t.Fatalf("%v (regenerate deliberately with -update)", err)
+	}
+	sections := map[string]string{}
+	for _, sec := range strings.Split(string(data), "\n\n") {
+		header, _, _ := strings.Cut(sec, "\n")
+		if strings.HasPrefix(header, "run ") {
+			sections[header] = strings.TrimSuffix(sec, "\n") + "\n"
+		}
+	}
+	return sections
+}
+
+// writeExecGolden writes a fixture's run sections in grid order.
+func writeExecGolden(t *testing.T, fixture string, sections []string) {
+	t.Helper()
+	content := "# " + fixture + ": fixed-seed execution golden, frozen from the instruction\n" +
+		"# interpreter (see plan_parity_test.go for the line format).\n\n" +
+		strings.Join(sections, "\n")
+	if err := os.MkdirAll(filepath.Dir(execGoldenPath(fixture)), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(execGoldenPath(fixture), []byte(content), 0o644); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// diffGolden fails t at the first line where got departs from want.
+func diffGolden(t *testing.T, got, want string) {
+	t.Helper()
+	if got == want {
+		return
+	}
+	g, w := strings.Split(got, "\n"), strings.Split(want, "\n")
+	for i := 0; i < len(g) || i < len(w); i++ {
+		var gl, wl string
+		if i < len(g) {
+			gl = g[i]
+		}
+		if i < len(w) {
+			wl = w[i]
+		}
+		if gl != wl {
+			t.Fatalf("diverges from the golden at line %d of %s:\ngot:  %s\nwant: %s", i+1, g[0], gl, wl)
 		}
 	}
 }
 
-// TestFanPlanParity holds the pooled fan-out (the path behind the
-// public Backend) bit-identical to the sequential interpreter at
-// Workers == 1, and self-consistent when the plan is shared by
-// concurrent workers.
+// TestPlanInterpreterParity holds the machine bit-identical to the
+// frozen interpreter goldens on every shipped fixture: per-shot
+// measurement records (values and timestamps), execution stats,
+// histograms and device traces, for several seeds, with and without
+// the calibrated noise model, on both chip simulators.
+func TestPlanInterpreterParity(t *testing.T) {
+	for name, src := range fixtureSources(t) {
+		runs := goldenRuns(t, fixtureTopo(src))
+		var want map[string]string
+		if !*updateExecGolden {
+			want = readExecGolden(t, name)
+		}
+		sections := make([]string, len(runs))
+		for i, r := range runs {
+			t.Run(name+"/"+r.cfg, func(t *testing.T) {
+				sections[i] = renderRun(r, runShots(t, r.opts, src, r.shots))
+				if !*updateExecGolden {
+					diffGolden(t, sections[i], want[r.header()])
+				}
+			})
+		}
+		if *updateExecGolden {
+			writeExecGolden(t, name, sections)
+		}
+	}
+}
+
+// fanRecords runs a plan through the pooled fan-out (the path behind
+// the public Backend) and returns the per-shot records; FanPlan calls
+// observe serially.
+func fanRecords(t *testing.T, pool *core.SystemPool, ex *plan.Executable, seed int64, shots, workers int) []shotRecord {
+	t.Helper()
+	got := make([]shotRecord, shots)
+	err := pool.FanPlan(context.Background(), ex, seed, shots, workers,
+		func(shot int, m *microarch.Machine, runErr error) error {
+			if runErr != nil {
+				return runErr
+			}
+			got[shot] = recordShot(m)
+			return nil
+		})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return got
+}
+
+// TestFanPlanParity holds the pooled fan-out bit-identical to the
+// frozen interpreter golden at Workers == 1, and self-consistent when
+// the plan is shared by concurrent workers.
 func TestFanPlanParity(t *testing.T) {
 	for name, src := range fixtureSources(t) {
-		shots := 30
-		topoName := fixtureTopo(src)
-		if topoName != "" {
-			shots = 8
-		}
 		t.Run(name, func(t *testing.T) {
-			opts := applyFixtureTopo(t, core.Options{Seed: 3}, topoName)
-			ref, _ := runShots(t, opts, src, shots, loadInterpreted)
-
-			sys, err := core.NewSystem(opts)
+			ref := goldenRuns(t, fixtureTopo(src))[0] // ideal, seed 1, traced
+			want := readExecGolden(t, name)[ref.header()]
+			sys, err := core.NewSystem(ref.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -247,50 +370,19 @@ func TestFanPlanParity(t *testing.T) {
 			}
 			// Plans are context-bound: lower under the pool's template
 			// (FanPlan rejects plans built under another context).
-			pool := core.NewSystemPool(opts)
+			pool := core.NewSystemPool(ref.opts)
 			ex, err := pool.Plan(prog)
 			if err != nil {
 				t.Fatal(err)
 			}
-			got := make([]shotRecord, shots)
-			err = pool.FanPlan(context.Background(), ex, opts.Seed, shots, 1,
-				func(shot int, m *microarch.Machine, runErr error) error {
-					if runErr != nil {
-						return runErr
-					}
-					got[shot] = recordShot(m)
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range ref {
-				if !reflect.DeepEqual(got[i].Meas, ref[i].Meas) || got[i].Stats != ref[i].Stats {
-					t.Fatalf("shot %d diverges from sequential interpreter:\nfan: %+v\nref: %+v",
-						i, got[i], ref[i])
-				}
-			}
+			seq := fanRecords(t, pool, ex, ref.seed, ref.shots, 1)
+			diffGolden(t, renderRun(ref, seq), want)
 
 			// Concurrent workers share one plan; worker 0's shot range
 			// stays bit-identical to its sequential stream.
-			perWorker := (shots + 3) / 4
-			conc := make([]shotRecord, shots)
-			err = pool.FanPlan(context.Background(), ex, opts.Seed, shots, 4,
-				func(shot int, m *microarch.Machine, runErr error) error {
-					if runErr != nil {
-						return runErr
-					}
-					conc[shot] = recordShot(m)
-					return nil
-				})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := 0; i < perWorker; i++ {
-				if !reflect.DeepEqual(conc[i].Meas, ref[i].Meas) {
-					t.Fatalf("worker 0 shot %d diverges under fan-out", i)
-				}
-			}
+			perWorker := (ref.shots + 3) / 4
+			conc := fanRecords(t, pool, ex, ref.seed, ref.shots, 4)
+			diffGolden(t, renderRun(ref, conc[:perWorker]), renderRun(ref, seq[:perWorker]))
 		})
 	}
 }

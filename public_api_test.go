@@ -69,9 +69,9 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 			copts := fixtureSimOptions(src)
 			if copts != nil {
 				// Chip-directive fixtures (the chain16 fusion workload)
-				// need their own stack, and the interpreted reference
-				// pushes 2^16 amplitudes per gate — a few shots suffice
-				// for bit-equality.
+				// need their own stack, and the core reference pushes
+				// 2^16 amplitudes per gate — a few shots suffice for
+				// bit-equality.
 				shots = 6
 				var err error
 				sim, err = eqasm.NewSimulator(append([]eqasm.Option{eqasm.WithSeed(seed)}, copts...)...)
@@ -124,62 +124,6 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 				t.Fatalf("histogram = %v, core = %v", res.Histogram, wantHist)
 			}
 		})
-	}
-}
-
-// The deprecated core.ParallelShots and the Backend fan-out share one
-// code path: same seeds, same partitioning, same per-shot results.
-func TestParallelShotsDelegatesToBackendFanOut(t *testing.T) {
-	const (
-		seed    = 11
-		shots   = 64
-		workers = 4
-	)
-	src := shippedPrograms(t)["bell.eqasm"]
-
-	oldKeys := make(map[int]string, shots)
-	err := core.ParallelShots(core.Options{Seed: seed}, src, shots, workers,
-		func(shot int, m *microarch.Machine) {
-			key := ""
-			for _, r := range m.Measurements() {
-				key += fmt.Sprint(r.Result)
-			}
-			oldKeys[shot] = key
-		})
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	prog, err := eqasm.Assemble(src)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sim, err := eqasm.NewSimulator(eqasm.WithSeed(seed), eqasm.WithWorkers(workers))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stream, err := sim.RunStream(context.Background(), prog, eqasm.RunOptions{Shots: shots})
-	if err != nil {
-		t.Fatal(err)
-	}
-	newKeys := make(map[int]string, shots)
-	for sr := range stream {
-		if sr.Err != nil {
-			t.Fatal(sr.Err)
-		}
-		key := ""
-		for _, m := range sr.Measurements {
-			key += fmt.Sprint(m.Result)
-		}
-		newKeys[sr.Shot] = key
-	}
-	if len(newKeys) != shots || len(oldKeys) != shots {
-		t.Fatalf("collected %d/%d shots, want %d", len(oldKeys), len(newKeys), shots)
-	}
-	for shot, want := range oldKeys {
-		if newKeys[shot] != want {
-			t.Fatalf("shot %d: backend %q, ParallelShots %q", shot, newKeys[shot], want)
-		}
 	}
 }
 
@@ -433,5 +377,22 @@ func TestOptionValidation(t *testing.T) {
 		Gates: []eqasm.Gate{{Name: "X", Qubits: []int{0}}}},
 		eqasm.WithSchedule("random")); err == nil {
 		t.Fatal("unknown schedule accepted")
+	}
+}
+
+// The density-matrix backend supports at most six qubits: a run on the
+// seven-qubit surface7 chip is an error, not a panic in a fan-out
+// worker.
+func TestDensityMatrixRejectsSevenQubitChip(t *testing.T) {
+	prog, err := eqasm.Assemble("SMIS S0, {0}\nX S0\nMEASZ S0\nSTOP", eqasm.WithTopology("surface7"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sim, err := eqasm.NewSimulator(eqasm.WithTopology("surface7"), eqasm.WithBackend("densitymatrix"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sim.Run(context.Background(), prog, eqasm.RunOptions{Shots: 4}); err == nil {
+		t.Fatal("density-matrix run on a 7-qubit chip succeeded")
 	}
 }
