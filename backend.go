@@ -11,6 +11,7 @@ import (
 	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/plan"
+	"eqasm/internal/wire"
 )
 
 // SeedStride separates the random streams of sibling executions: worker
@@ -54,35 +55,11 @@ type Measurement struct {
 }
 
 // ExecStats are execution counters: of one shot (ShotResult.Stats,
-// Result.Stats) or summed over many (Result.TotalStats). The JSON tags
-// are the service wire format.
-type ExecStats struct {
-	// Instructions counts retired instructions.
-	Instructions int64 `json:"instructions"`
-	// Bundles counts quantum bundle instructions issued.
-	Bundles int64 `json:"bundles"`
-	// QuantumOps counts micro-operations reaching the timing controller.
-	QuantumOps int64 `json:"quantum_ops"`
-	// CancelledOps counts operations gated off by fast conditional
-	// execution.
-	CancelledOps int64 `json:"cancelled_ops"`
-	// FMRStallTicks counts classical ticks stalled on FMR.
-	FMRStallTicks int64 `json:"fmr_stall_ticks"`
-	// DurationNs is the simulated wall-clock time at halt (summed across
-	// shots in an aggregate, it is total simulated chip time).
-	DurationNs int64 `json:"duration_ns"`
-}
-
-// Add accumulates o's counters into s (used to aggregate per-shot stats
-// into Result.TotalStats).
-func (s *ExecStats) Add(o ExecStats) {
-	s.Instructions += o.Instructions
-	s.Bundles += o.Bundles
-	s.QuantumOps += o.QuantumOps
-	s.CancelledOps += o.CancelledOps
-	s.FMRStallTicks += o.FMRStallTicks
-	s.DurationNs += o.DurationNs
-}
+// Result.Stats) or summed over many (Result.TotalStats). The type is
+// declared with the service wire schema (its JSON tags are the wire
+// format); see internal/wire for the field list. Add accumulates one
+// set of counters into another.
+type ExecStats = wire.ExecStats
 
 func execStats(m *microarch.Machine) ExecStats {
 	st := m.Stats()

@@ -12,6 +12,8 @@ import (
 	"net/http"
 	"strings"
 	"time"
+
+	"eqasm/internal/wire"
 )
 
 // Client is the job-service Backend: it submits batches of programs to
@@ -99,81 +101,21 @@ func NewClient(baseURL string, opts ...ClientOption) *Client {
 	return c
 }
 
-// requestWire mirrors one request of the service's POST /v1/batches
-// payload.
-type requestWire struct {
-	Source  string             `json:"source,omitempty"`
-	Shots   int                `json:"shots,omitempty"`
-	Seed    int64              `json:"seed,omitempty"`
-	Tag     string             `json:"tag,omitempty"`
-	Chip    string             `json:"chip,omitempty"`
-	Backend string             `json:"backend,omitempty"`
-	Fusion  string             `json:"fusion,omitempty"`
-	Params  map[string]float64 `json:"params,omitempty"`
-}
-
-// batchRequestWire mirrors the service's POST /v1/batches payload.
-type batchRequestWire struct {
-	Requests []requestWire `json:"requests"`
-	// Wait makes the POST synchronous: the response carries the
-	// terminal batch description, so no status polls are needed (the
-	// Run fast path).
-	Wait bool `json:"wait,omitempty"`
-}
-
-// batchResponseWire mirrors the service's batch description.
-type batchResponseWire struct {
-	ID       string              `json:"id"`
-	Status   string              `json:"status"`
-	Error    string              `json:"error,omitempty"`
-	Requests []requestStatusWire `json:"requests"`
-}
-
-// requestStatusWire mirrors one request's status and (once finished)
-// outcome on the wire: the flat service.RequestResult JSON shape.
-type requestStatusWire struct {
-	Index      int            `json:"index"`
-	Tag        string         `json:"tag,omitempty"`
-	Status     string         `json:"status"`
-	Error      string         `json:"error,omitempty"`
-	Shots      int            `json:"shots"`
-	Histogram  map[string]int `json:"histogram,omitempty"`
-	Qubits     []int          `json:"qubits,omitempty"`
-	Stats      ExecStats      `json:"stats"`
-	TotalStats ExecStats      `json:"total_stats"`
-	Backend    string         `json:"backend,omitempty"`
-	RunNs      int64          `json:"run_ns"`
-}
-
-func (r *requestStatusWire) toResult() *Result {
-	hist := r.Histogram
+// resultFromWire maps a finished request's wire status onto a Result.
+func resultFromWire(st *wire.RequestStatus) *Result {
+	hist := st.Histogram
 	if hist == nil {
 		hist = map[string]int{}
 	}
 	return &Result{
-		Shots:      r.Shots,
+		Shots:      st.Shots,
 		Histogram:  hist,
-		Qubits:     r.Qubits,
-		Stats:      r.Stats,
-		TotalStats: r.TotalStats,
-		Backend:    r.Backend,
-		Duration:   time.Duration(r.RunNs),
+		Qubits:     st.Qubits,
+		Stats:      st.Stats,
+		TotalStats: st.TotalStats,
+		Backend:    st.Backend,
+		Duration:   st.RunTime,
 	}
-}
-
-// wireSource renders a program for submission: the original source
-// when available, otherwise the round-trip-stable disassembly.
-// Parametric programs have no 32-bit encoding to disassemble from, so
-// they ship as the assembly rendering instead (which round-trips
-// their %name angle operands through the assembler).
-func wireSource(p *Program) (string, error) {
-	if p.source != "" {
-		return p.source, nil
-	}
-	if s, err := p.Disassemble(); err == nil {
-		return s, nil
-	}
-	return p.renderSource()
 }
 
 // ServiceError is a non-2xx HTTP response from the service, carrying
@@ -287,19 +229,19 @@ func (c *Client) submitJob(ctx context.Context, streaming, wait bool, reqs []Run
 	if err != nil {
 		return nil, err
 	}
-	wire := batchRequestWire{Requests: make([]requestWire, len(reqs)), Wait: wait}
+	batch := wire.BatchRequest{Requests: make([]wire.Request, len(reqs)), Wait: wait}
 	for i, r := range reqs {
 		if r.Options.Shots < 0 {
 			return nil, fmt.Errorf("eqasm: negative shot count %d", r.Options.Shots)
 		}
-		src, err := wireSource(r.Program)
+		src, err := r.Program.WireSource()
 		if err != nil {
 			return nil, err
 		}
 		// The program's bound chip travels with each request, so a
 		// program assembled for one topology cannot silently execute
 		// under another chip's semantics on a mismatched service.
-		wire.Requests[i] = requestWire{
+		batch.Requests[i] = wire.Request{
 			Source:  src,
 			Shots:   r.Options.Shots,
 			Seed:    r.Options.Seed,
@@ -310,8 +252,8 @@ func (c *Client) submitJob(ctx context.Context, streaming, wait bool, reqs []Run
 			Params:  r.params(),
 		}
 	}
-	var br batchResponseWire
-	if err = c.do(ctx, http.MethodPost, "/v1/batches", wire, &br); err != nil {
+	var br wire.BatchStatus
+	if err = c.do(ctx, http.MethodPost, "/v1/batches", batch, &br); err != nil {
 		return nil, err
 	}
 	job := newJob(br.ID, reqs)
@@ -343,7 +285,7 @@ func (c *Client) cancelBatch(id string) {
 // a synchronous (wait) submit settles the whole job from it, with no
 // polls at all.
 func (c *Client) pollJob(ctx context.Context, cancel context.CancelCauseFunc, job *Job, id string,
-	submitted batchResponseWire) {
+	submitted wire.BatchStatus) {
 	defer cancel(nil)
 	seen := make([]bool, len(job.reqs))
 	if c.applyPoll(ctx, job, submitted, seen) {
@@ -364,7 +306,7 @@ func (c *Client) pollJob(ctx context.Context, cancel context.CancelCauseFunc, jo
 			job.finalize()
 			return
 		}
-		var br batchResponseWire
+		var br wire.BatchStatus
 		err := c.do(ctx, http.MethodGet, "/v1/batches/"+id, nil, &br)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -404,9 +346,10 @@ func (c *Client) firstUnseen(seen []bool) int {
 // applyPoll mirrors one poll's batch description onto the job handle
 // and reports whether the batch reached a terminal state with every
 // request accounted for.
-func (c *Client) applyPoll(ctx context.Context, job *Job, br batchResponseWire, seen []bool) bool {
+func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, seen []bool) bool {
 	done := true
-	for _, rw := range br.Requests {
+	for i := range br.Requests {
+		rw := &br.Requests[i]
 		if rw.Index < 0 || rw.Index >= len(seen) || seen[rw.Index] {
 			continue
 		}
@@ -416,7 +359,7 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br batchResponseWire, 
 			done = false
 		case JobCompleted, JobFailed, JobCancelled:
 			seen[rw.Index] = true
-			res := rw.toResult()
+			res := resultFromWire(rw)
 			var reqErr error
 			switch {
 			case JobState(rw.Status) == JobCancelled:
@@ -518,7 +461,8 @@ func (c *Client) RunStream(ctx context.Context, p *Program, opts RunOptions) (<-
 	return ch, nil
 }
 
-// ServiceStats is a point-in-time snapshot of the service counters.
+// ServiceStats is a point-in-time snapshot of the service counters:
+// the /v1/stats payload of an eqasm-serve worker.
 type ServiceStats struct {
 	Workers     int `json:"workers"`
 	WorkersBusy int `json:"workers_busy"`
@@ -531,32 +475,42 @@ type ServiceStats struct {
 	InflightShots int64 `json:"inflight_shots"`
 	// Draining reports the service has stopped accepting new work and
 	// is finishing what it admitted (rolling-restart drain).
-	Draining          bool  `json:"draining,omitempty"`
-	JobsSubmitted     int64 `json:"jobs_submitted"`
-	JobsActive        int64 `json:"jobs_active"`
-	JobsCompleted     int64 `json:"jobs_completed"`
-	JobsFailed        int64 `json:"jobs_failed"`
-	JobsCancelled     int64 `json:"jobs_cancelled"`
-	JobsRejected      int64 `json:"jobs_rejected"`
+	Draining      bool  `json:"draining,omitempty"`
+	JobsSubmitted int64 `json:"jobs_submitted"`
+	JobsActive    int64 `json:"jobs_active"`
+	JobsCompleted int64 `json:"jobs_completed"`
+	JobsFailed    int64 `json:"jobs_failed"`
+	JobsCancelled int64 `json:"jobs_cancelled"`
+	JobsRejected  int64 `json:"jobs_rejected"`
+	// RequestsSubmitted counts program requests across all jobs (a
+	// batch of N adds N); BatchJobs counts jobs submitted with more
+	// than one request.
 	RequestsSubmitted int64 `json:"requests_submitted"`
 	BatchJobs         int64 `json:"batch_jobs"`
 	ShotsExecuted     int64 `json:"shots_executed"`
-	StabilizerShots   int64 `json:"stabilizer_shots"`
-	BatchesRun        int64 `json:"batches_run"`
-	CacheHits         int64 `json:"cache_hits"`
-	CacheMisses       int64 `json:"cache_misses"`
-	CacheEntries      int   `json:"cache_entries"`
-	// PlanCacheHits/Misses count decode-once execution-plan reuse —
-	// the warmth signal content-hash affinity routing is designed to
-	// maximize on each worker.
+	// StabilizerShots counts the subset of ShotsExecuted that ran on the
+	// stabilizer-tableau backend (selected explicitly or by
+	// auto-detection of noiseless Clifford-only plans).
+	StabilizerShots int64 `json:"stabilizer_shots"`
+	BatchesRun      int64 `json:"batches_run"`
+	CacheHits       int64 `json:"cache_hits"`
+	CacheMisses     int64 `json:"cache_misses"`
+	CacheEntries    int   `json:"cache_entries"`
+	// PlanCacheHits/Misses count decode-once execution-plan reuse: a
+	// job whose program already carried its plan versus one that had
+	// to lower it at submit time — the warmth signal content-hash
+	// affinity routing is designed to maximize on each worker.
 	PlanCacheHits   int64 `json:"plan_cache_hits"`
 	PlanCacheMisses int64 `json:"plan_cache_misses"`
+	// RunNs is the cumulative wall time workers spent executing batches.
+	RunNs int64 `json:"run_ns"`
 	// GateProfile aggregates executed kernel work across all batches:
 	// per-shot kernel applications per kind — including fused.* kernel
 	// kinds and fusion.* site counters on fused runs — weighted by
 	// shots.
-	GateProfile   map[string]int64 `json:"gate_profile,omitempty"`
-	UptimeSeconds float64          `json:"uptime_seconds"`
+	GateProfile map[string]int64 `json:"gate_profile,omitempty"`
+	// UptimeSeconds is the time since the service started.
+	UptimeSeconds float64 `json:"uptime_seconds"`
 }
 
 // Stats fetches the service counters.

@@ -1,11 +1,14 @@
 // Command eqasm-serve exposes the eQASM execution service over HTTP: the
-// classical host of Fig. 1 as a network service. Jobs carry eQASM source
-// or a circuit to compile; batches (/v1/batches) carry N programs as one
-// queued unit with per-request histograms. The service assembles once
-// (content-hash cache), fans shots over a worker pool of simulated
-// QuMA_v2 machines, and aggregates measurement histograms. The wire
-// protocol lives in internal/httpapi and is spoken by the public
-// eqasm.Client (Submit/Run/RunStream).
+// classical host of Fig. 1 as a network service. Every submission is a
+// batch (POST /v1/batches): N programs as one queued unit with
+// per-request histograms, each request carrying eQASM source or cQASM
+// or OpenQASM circuit text to compile; a single job is a one-request
+// batch. The service assembles or compiles once (content-hash cache),
+// fans shots over a worker pool of simulated QuMA_v2 machines, and
+// aggregates measurement histograms. The handler set lives in
+// internal/httpapi (shared with cmd/eqasm-coord), the JSON schema in
+// internal/wire; the public eqasm.Client (Submit/Run/RunStream) speaks
+// it.
 //
 // Usage:
 //

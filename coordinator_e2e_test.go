@@ -6,13 +6,18 @@
 package eqasm_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
 	"maps"
+	"math"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
@@ -23,6 +28,7 @@ import (
 	"eqasm/internal/httpapi"
 	"eqasm/internal/service"
 	"eqasm/internal/wal"
+	"eqasm/internal/wire"
 )
 
 // workerPool is a set of in-process eqasm-serve instances: each a real
@@ -144,7 +150,7 @@ func TestCoordinatorBatchParity(t *testing.T) {
 
 	// Same batch over the wire: the public Client cannot tell the
 	// coordinator's front end from a worker's.
-	front := httptest.NewServer(httpapi.NewBackend(coord).Handler())
+	front := httptest.NewServer(httpapi.New(coord).Handler())
 	defer front.Close()
 	client := eqasm.NewClient(front.URL,
 		eqasm.WithHTTPClient(front.Client()),
@@ -631,4 +637,190 @@ func BenchmarkCoordinatorShots(b *testing.B) {
 	b.Run("coordinator-2workers", func(b *testing.B) {
 		bench(b, newCoordinator(b, pool, coordinator.Config{}))
 	})
+}
+
+// postBatch submits a waited /v1/batches payload and decodes the
+// terminal status, failing the test on anything but a completed batch.
+func postBatch(t *testing.T, url string, reqs []wire.Request) wire.BatchStatus {
+	t.Helper()
+	payload, err := json.Marshal(wire.BatchRequest{Requests: reqs, Wait: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp, err := http.Post(url+"/v1/batches", "application/json", bytes.NewReader(payload))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var st wire.BatchStatus
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || st.Status != wire.StateCompleted || len(st.Requests) != len(reqs) {
+		t.Fatalf("POST %s/v1/batches: HTTP %d status=%q error=%q (%d requests)",
+			url, resp.StatusCode, st.Status, st.Error, len(st.Requests))
+	}
+	return st
+}
+
+// sameOutcome compares two request statuses on everything a fixed seed
+// pins: histogram, measured qubits and execution counters.
+func sameOutcome(t *testing.T, what string, got, want wire.RequestStatus) {
+	t.Helper()
+	if !maps.Equal(got.Histogram, want.Histogram) || !slices.Equal(got.Qubits, want.Qubits) ||
+		got.Stats != want.Stats || got.TotalStats != want.TotalStats || got.Shots != want.Shots {
+		t.Errorf("%s: got %d shots %v qubits %v stats %+v total %+v; want %d shots %v qubits %v stats %+v total %+v",
+			what, got.Shots, got.Histogram, got.Qubits, got.Stats, got.TotalStats,
+			want.Shots, want.Histogram, want.Qubits, want.Stats, want.TotalStats)
+	}
+}
+
+// asStatus renders a library Result in the wire status shape for
+// sameOutcome.
+func asStatus(res *eqasm.Result) wire.RequestStatus {
+	return wire.RequestStatus{Shots: res.Shots, Histogram: res.Histogram, Qubits: res.Qubits,
+		Stats: res.Stats, TotalStats: res.TotalStats}
+}
+
+// TestCoordinatorParamSweep routes a parametric cQASM sweep through the
+// coordinator — as a library Backend and through its HTTP front end —
+// and checks every point matches the same request sent straight to a
+// worker: params travel with the request instead of being dropped.
+func TestCoordinatorParamSweep(t *testing.T) {
+	const shots = 24
+	cq := loadFixture(t, "testdata", "circuits", "rz_sweep.cq")
+	pool := startWorkers(t, 2, service.Config{Workers: 2, BatchShots: 8})
+	coord := newCoordinator(t, pool, coordinator.Config{})
+	front := httptest.NewServer(httpapi.New(coord).Handler())
+	defer front.Close()
+
+	thetas := []float64{0, math.Pi / 3, math.Pi / 2, math.Pi}
+	wreqs := make([]wire.Request, len(thetas))
+	for i, theta := range thetas {
+		wreqs[i] = wire.Request{Source: cq, Format: service.FormatCQASM, Shots: shots, Seed: int64(5 + i),
+			Tag: fmt.Sprint(i), Params: map[string]float64{"theta": theta}}
+	}
+	direct := postBatch(t, pool.urls[0], wreqs)
+	routed := postBatch(t, front.URL, wreqs)
+
+	// The library path compiles exactly as a worker does.
+	prog, err := service.Config{}.Compile(cq, service.FormatCQASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]eqasm.RunRequest, len(thetas))
+	for i, r := range wreqs {
+		reqs[i] = eqasm.RunRequest{Program: prog, Options: eqasm.RunOptions{Shots: r.Shots, Seed: r.Seed},
+			Params: r.Params, Tag: r.Tag}
+	}
+	job, err := coord.Submit(context.Background(), reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	results, err := job.Wait(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, theta := range thetas {
+		what := fmt.Sprintf("theta=%.3f", theta)
+		sameOutcome(t, what+" via coordinator HTTP", routed.Requests[i], direct.Requests[i])
+		sameOutcome(t, what+" via coord.Submit", asStatus(results[i]), direct.Requests[i])
+	}
+	// The sweep actually moved the distribution.
+	if maps.Equal(direct.Requests[0].Histogram, direct.Requests[len(thetas)-1].Histogram) {
+		t.Fatalf("theta=0 and theta=pi gave the same histogram %v", direct.Requests[0].Histogram)
+	}
+}
+
+// TestCoordinatorCircuitParity sends the same cQASM and OpenQASM Bell
+// requests through the coordinator's front end and straight to a
+// worker: both tiers compile circuit text through one path (init wait
+// included), so histograms and stats agree at a fixed seed.
+func TestCoordinatorCircuitParity(t *testing.T) {
+	pool := startWorkers(t, 2, service.Config{Workers: 2, BatchShots: 16})
+	coord := newCoordinator(t, pool, coordinator.Config{})
+	front := httptest.NewServer(httpapi.New(coord).Handler())
+	defer front.Close()
+
+	wreqs := []wire.Request{
+		{Source: loadFixture(t, "testdata", "circuits", "bell.cq"), Format: service.FormatCQASM, Shots: 64, Seed: 11},
+		{Source: loadFixture(t, "testdata", "circuits", "bell.qasm"), Format: service.FormatOpenQASM, Shots: 64, Seed: 11},
+	}
+	direct := postBatch(t, pool.urls[1], wreqs)
+	routed := postBatch(t, front.URL, wreqs)
+	for i, f := range []string{"cqasm", "openqasm"} {
+		sameOutcome(t, f, routed.Requests[i], direct.Requests[i])
+		if d := direct.Requests[i].Stats.DurationNs; d < 200_000 {
+			t.Errorf("%s: duration_ns = %d, want the 200 us init wait included", f, d)
+		}
+	}
+}
+
+// TestCoordinatorWALReplayParams restarts the coordinator over a
+// journaled parametric batch: the params are journaled with the
+// request, so the recovered batch binds the same points.
+func TestCoordinatorWALReplayParams(t *testing.T) {
+	const shots = 32
+	walPath := filepath.Join(t.TempDir(), "coord.wal")
+	cq := loadFixture(t, "testdata", "circuits", "rz_sweep.cq")
+	prog, err := service.Config{}.Compile(cq, service.FormatCQASM)
+	if err != nil {
+		t.Fatal(err)
+	}
+	thetas := []float64{math.Pi / 4, 3 * math.Pi / 4}
+
+	// Life 1: no reachable worker; the batch is journaled and abandoned.
+	log1, err := wal.Open(walPath, wal.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord1, err := coordinator.New(coordinator.Config{
+		Workers:        []string{"http://127.0.0.1:1"},
+		HealthInterval: 10 * time.Millisecond,
+		WorkerWait:     time.Minute,
+		WAL:            log1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := make([]eqasm.RunRequest, len(thetas))
+	wreqs := make([]wire.Request, len(thetas))
+	for i, theta := range thetas {
+		params := map[string]float64{"theta": theta}
+		reqs[i] = eqasm.RunRequest{Program: prog, Options: eqasm.RunOptions{Shots: shots, Seed: 3, Fusion: eqasm.FusionOff},
+			Params: params}
+		wreqs[i] = wire.Request{Source: cq, Format: service.FormatCQASM, Shots: shots, Seed: 3, Fusion: eqasm.FusionOff,
+			Params: params}
+	}
+	job1, err := coord1.Submit(context.Background(), reqs...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := job1.ID()
+	if err := coord1.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Life 2: the recovered batch matches the same requests sent
+	// straight to the worker.
+	pool := startWorkers(t, 1, service.Config{Workers: 2, BatchShots: 8})
+	log2, err := wal.Open(walPath, wal.WithFsync(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	coord2 := newCoordinator(t, pool, coordinator.Config{WAL: log2})
+	job2, ok := coord2.Job(id)
+	if !ok {
+		t.Fatalf("recovered coordinator does not know batch %s", id)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	results, err := job2.Wait(ctx)
+	if err != nil {
+		t.Fatalf("recovered job: %v", err)
+	}
+	direct := postBatch(t, pool.urls[0], wreqs)
+	for i, theta := range thetas {
+		sameOutcome(t, fmt.Sprintf("recovered theta=%.3f", theta), asStatus(results[i]), direct.Requests[i])
+	}
 }

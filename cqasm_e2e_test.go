@@ -18,6 +18,7 @@ import (
 	"eqasm"
 	"eqasm/internal/httpapi"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 func loadFixture(t *testing.T, parts ...string) string {
@@ -81,42 +82,36 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	defer ts.Close()
 
 	const shots = 200
-	submit := func(body map[string]any) map[string]int {
+	// A single job is a one-request batch.
+	submit := func(req map[string]any) map[string]int {
 		t.Helper()
-		payload, err := json.Marshal(body)
+		payload, err := json.Marshal(map[string]any{"requests": []map[string]any{req}, "wait": true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var jr struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-			Result *struct {
-				Shots     int            `json:"shots"`
-				Histogram map[string]int `json:"histogram"`
-			} `json:"result"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		var br wire.BatchStatus
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || jr.Status != "completed" || jr.Result == nil {
-			t.Fatalf("job failed: HTTP %d status=%q error=%q", resp.StatusCode, jr.Status, jr.Error)
+		if resp.StatusCode != http.StatusOK || br.Status != wire.StateCompleted || len(br.Requests) != 1 {
+			t.Fatalf("job failed: HTTP %d status=%q error=%q", resp.StatusCode, br.Status, br.Error)
 		}
-		if jr.Result.Shots != shots {
-			t.Fatalf("ran %d shots, want %d", jr.Result.Shots, shots)
+		if br.Requests[0].Shots != shots {
+			t.Fatalf("ran %d shots, want %d", br.Requests[0].Shots, shots)
 		}
-		return jr.Result.Histogram
+		return br.Requests[0].Histogram
 	}
 
 	got := submit(map[string]any{
-		"source": cq, "format": "cqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": cq, "format": "cqasm", "shots": shots, "seed": 23,
 	})
 	want := submit(map[string]any{
-		"source": asmSrc, "shots": shots, "seed": 23, "wait": true,
+		"source": asmSrc, "shots": shots, "seed": 23,
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("cqasm job histogram %v != eqasm fixture histogram %v", got, want)
@@ -129,15 +124,15 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	// cache (server-side compilation cached alongside assembled programs).
 	before := svc.Stats().CacheHits
 	submit(map[string]any{
-		"source": cq, "format": "cqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": cq, "format": "cqasm", "shots": shots, "seed": 23,
 	})
 	if after := svc.Stats().CacheHits; after != before+1 {
 		t.Fatalf("cache hits %d -> %d; cqasm submission did not hit the program cache", before, after)
 	}
 
 	// Unknown formats are rejected with a client error.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"source": "qubits 1", "format": "quil"}`)))
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json",
+		bytes.NewReader([]byte(`{"requests": [{"source": "qubits 1", "format": "quil"}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -147,8 +142,8 @@ func TestCQASMJobViaHTTPService(t *testing.T) {
 	}
 
 	// cQASM parse faults surface as positioned diagnostics over the wire.
-	resp, err = http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"source": "qubits 2\nwobble q[0]", "format": "cqasm"}`)))
+	resp, err = http.Post(ts.URL+"/v1/batches", "application/json",
+		bytes.NewReader([]byte(`{"requests": [{"source": "qubits 2\nwobble q[0]", "format": "cqasm"}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -46,6 +46,7 @@ import (
 	"eqasm"
 	"eqasm/internal/service"
 	"eqasm/internal/wal"
+	"eqasm/internal/wire"
 )
 
 // Config parameterizes a Coordinator. Workers is required; everything
@@ -56,7 +57,9 @@ type Config struct {
 	Workers []string
 	// Machine configures the coordinator's own view of the stack
 	// (topology, compile options) used to resolve wire submissions and
-	// re-assemble journaled batches. It must match the workers'.
+	// re-assemble journaled batches. It must match the workers'
+	// service.Config.Machine; circuit text compiles exactly as a worker
+	// with the default service.Config would (service.Config.Compile).
 	Machine []eqasm.Option
 	// Client options apply to every worker link (timeouts, retry
 	// policy). A bounded dial-retry is installed by default.
@@ -90,9 +93,10 @@ type Config struct {
 var errClosing = errors.New("coordinator: closing")
 
 // Coordinator routes batches across a worker pool. It implements
-// eqasm.Backend and the wire-serving httpapi.BatchBackend contract.
+// eqasm.Backend and the wire-serving httpapi.Backend contract.
 type Coordinator struct {
 	cfg     Config
+	compile service.Config // the workers' compile path for wire text
 	chip    string
 	cache   *service.ProgramCache
 	log     wal.Log
@@ -164,6 +168,7 @@ func New(cfg Config) (*Coordinator, error) {
 	}
 	c := &Coordinator{
 		cfg:        cfg,
+		compile:    service.Config{Machine: cfg.Machine},
 		chip:       sim.Chip(),
 		cache:      service.NewProgramCache(cfg.CacheSize),
 		log:        cfg.WAL,
@@ -208,10 +213,14 @@ func (c *Coordinator) Chip() string { return c.chip }
 // per-request results are bit-identical to a lone Simulator at the
 // same explicit seed regardless of placement or re-queues.
 func (c *Coordinator) Submit(ctx context.Context, reqs ...eqasm.RunRequest) (*eqasm.Job, error) {
-	return c.submit(ctx, reqs, false)
+	p, err := c.submit(ctx, reqs, false)
+	if err != nil {
+		return nil, err
+	}
+	return p.job, nil
 }
 
-func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, streaming bool) (*eqasm.Job, error) {
+func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, streaming bool) (*pending, error) {
 	for i, r := range reqs {
 		if r.Program == nil {
 			break // NewControlledJob reports the canonical error
@@ -231,17 +240,7 @@ func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, strea
 	if err != nil {
 		return nil, err
 	}
-	rec := acceptedRecord{Chip: c.chip, Requests: make([]requestRecord, len(reqs))}
-	for i, r := range reqs {
-		rec.Requests[i] = requestRecord{
-			Source:  p.srcs[i],
-			Shots:   r.Options.Shots,
-			Seed:    r.Options.Seed,
-			Tag:     r.Tag,
-			Backend: r.Options.Backend,
-		}
-	}
-	data, err := json.Marshal(rec)
+	data, err := json.Marshal(acceptedRecord{Chip: c.chip, Requests: p.wire})
 	if err != nil {
 		p.release()
 		return nil, fmt.Errorf("coordinator: journal batch: %w", err)
@@ -275,7 +274,7 @@ func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, strea
 	}
 	c.wg.Add(1)
 	go c.drive(p, outstanding)
-	return p.job, nil
+	return p, nil
 }
 
 // Run implements eqasm.Backend: one request through Submit, awaited.
@@ -306,11 +305,12 @@ func (c *Coordinator) RunStream(ctx context.Context, p *eqasm.Program, opts eqas
 	ch := make(chan eqasm.ShotResult)
 	go func() {
 		defer close(ch)
-		job, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, true)
+		pend, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, true)
 		if err != nil {
 			sendWithGrace(ch, eqasm.ShotResult{Shot: -1, Err: err})
 			return
 		}
+		job := pend.job
 		for sr := range job.Stream() {
 			select {
 			case ch <- sr:
@@ -345,46 +345,60 @@ func (c *Coordinator) Job(id string) (*eqasm.Job, bool) {
 	return p.job, true
 }
 
-// Resolve turns wire source text into a bound program — assembling
-// eQASM or compiling cQASM/OpenQASM circuit text against the
-// coordinator's stack — through the coordinator's own content-hash
-// cache. It serves the HTTP tier's
-// submission path; the cache key is the same hash the workers use, so
-// a cached resolve here predicts a warm worker downstream.
-func (c *Coordinator) Resolve(source, format, chip string) (*eqasm.Program, bool, error) {
-	if chip != "" && chip != c.chip {
-		return nil, false, fmt.Errorf("coordinator: program chip %q does not match pool chip %q", chip, c.chip)
-	}
-	switch format {
-	case "", service.FormatEQASM, service.FormatCQASM, service.FormatOpenQASM:
-	default:
-		return nil, false, fmt.Errorf("coordinator: unknown format %q (valid: %s, %s, %s)",
-			format, service.FormatEQASM, service.FormatCQASM, service.FormatOpenQASM)
-	}
-	if source == "" {
-		return nil, false, errors.New("coordinator: empty source")
-	}
-	key, err := service.RequestSpec{Source: source, Format: format}.CacheKey()
+// SubmitWire admits a decoded /v1/batches payload (the httpapi.Backend
+// contract): the batch passes the workers' own admission checks, each
+// request's text resolves to a program through the coordinator's
+// content-hash cache and the workers' compile path, and the batch then
+// routes like any Submit — shots, seed, backend, fusion and params
+// included.
+func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.Batch, error) {
+	spec, err := service.BatchFromWire(req)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	reqs := make([]eqasm.RunRequest, len(spec.Requests))
+	for i, r := range spec.Requests {
+		prog, err := c.resolve(r)
+		if err != nil {
+			return nil, fmt.Errorf("coordinator: request %d: %w", i, err)
+		}
+		reqs[i] = runRequest(prog, wire.Request(r))
+	}
+	return c.submit(ctx, reqs, false)
+}
+
+// Batch is Job behind the httpapi.Backend contract.
+func (c *Coordinator) Batch(id string) (wire.Batch, bool) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	p, ok := c.jobs[id]
+	if !ok {
+		return nil, false
+	}
+	return p, true
+}
+
+// resolve turns a request's text into a bound program through the
+// coordinator's cache. The cache key is the hash the workers key their
+// own caches on, so a cached resolve here predicts a warm worker
+// downstream.
+func (c *Coordinator) resolve(r service.RequestSpec) (*eqasm.Program, error) {
+	if r.Chip != "" && r.Chip != c.chip {
+		return nil, fmt.Errorf("program chip %q does not match pool chip %q", r.Chip, c.chip)
+	}
+	key := r.CacheKey()
 	if prog, ok := c.cache.Get(key); ok {
-		return prog, true, nil
+		return prog, nil
 	}
-	var prog *eqasm.Program
-	switch format {
-	case service.FormatCQASM:
-		prog, err = eqasm.CompileCircuit(source, c.cfg.Machine...)
-	case service.FormatOpenQASM:
-		prog, err = eqasm.CompileOpenQASM(source, c.cfg.Machine...)
-	default:
-		prog, err = eqasm.Assemble(source, c.cfg.Machine...)
-	}
+	prog, err := c.compile.Compile(r.Source, r.Format)
 	if err != nil {
-		return nil, false, err
+		return nil, err
 	}
 	c.cache.Put(key, prog)
-	return prog, false, nil
+	return prog, nil
 }
 
 // Draining reports whether the coordinator has stopped accepting work.
@@ -485,13 +499,9 @@ type WorkerStats struct {
 	// Inflight is the coordinator's own count of requests currently
 	// dispatched to this worker.
 	Inflight int64 `json:"inflight"`
-	// The remaining fields mirror the worker's last /v1/stats probe.
-	QueueDepth      int   `json:"queue_depth"`
-	QueueCapacity   int   `json:"queue_capacity"`
-	InflightShots   int64 `json:"inflight_shots"`
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	ShotsExecuted   int64 `json:"shots_executed"`
+	// ServiceStats is the worker's last successful /v1/stats probe
+	// (zero until one succeeds), flattened into the worker's entry.
+	eqasm.ServiceStats
 }
 
 // Stats snapshots the coordinator counters.
@@ -512,22 +522,14 @@ func (c *Coordinator) Stats() Stats {
 	}
 	for _, w := range c.workers {
 		w.statsMu.Lock()
-		ws, ok := w.stats, w.statsOK
-		w.statsMu.Unlock()
 		wst := WorkerStats{
-			URL:      w.url,
-			Healthy:  w.healthy.Load(),
-			Draining: w.draining.Load(),
-			Inflight: w.inflight.Load(),
+			URL:          w.url,
+			Healthy:      w.healthy.Load(),
+			Draining:     w.draining.Load(),
+			Inflight:     w.inflight.Load(),
+			ServiceStats: w.stats,
 		}
-		if ok {
-			wst.QueueDepth = ws.QueueDepth
-			wst.QueueCapacity = ws.QueueCapacity
-			wst.InflightShots = ws.InflightShots
-			wst.PlanCacheHits = ws.PlanCacheHits
-			wst.PlanCacheMisses = ws.PlanCacheMisses
-			wst.ShotsExecuted = ws.ShotsExecuted
-		}
+		w.statsMu.Unlock()
 		if wst.Healthy {
 			st.WorkersHealthy++
 		}
@@ -540,6 +542,5 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// StatsPayload satisfies the HTTP tier's introspection contract
-// (httpapi.BatchBackend); it is Stats behind an any.
+// StatsPayload is Stats as the /v1/stats body (httpapi.Backend).
 func (c *Coordinator) StatsPayload() any { return c.Stats() }

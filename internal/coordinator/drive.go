@@ -20,23 +20,17 @@ import (
 	"eqasm"
 	"eqasm/internal/service"
 	"eqasm/internal/wal"
+	"eqasm/internal/wire"
 )
 
 // Journal record shapes. An accepted record carries everything needed
-// to rebuild the batch in a fresh process (wire source text, options);
-// a result record one request's terminal outcome; a done entry (no
-// payload) retires the batch from recovery.
-type requestRecord struct {
-	Source  string `json:"source"`
-	Shots   int    `json:"shots,omitempty"`
-	Seed    int64  `json:"seed,omitempty"`
-	Tag     string `json:"tag,omitempty"`
-	Backend string `json:"backend,omitempty"`
-}
-
+// to rebuild the batch in a fresh process: each request exactly as the
+// wire carries it to a worker (eQASM text, shots, seed, backend,
+// fusion, params); a result record one request's terminal outcome; a
+// done entry (no payload) retires the batch from recovery.
 type acceptedRecord struct {
-	Chip     string          `json:"chip,omitempty"`
-	Requests []requestRecord `json:"requests"`
+	Chip     string         `json:"chip,omitempty"`
+	Requests []wire.Request `json:"requests"`
 }
 
 type resultRecord struct {
@@ -53,8 +47,8 @@ type pending struct {
 	job  *eqasm.Job
 	ctl  *eqasm.JobController
 	reqs []eqasm.RunRequest
-	srcs []string // wire text per request (journaled, re-assemblable)
-	keys []string // content-hash routing key per request
+	wire []wire.Request // per request as the wire carries it (journaled)
+	keys []string       // content-hash routing key per request
 
 	attempts []int
 	terminal []bool // per-request: outcome recorded (driver-owned)
@@ -76,14 +70,54 @@ func (p *pending) release() {
 	p.cancel(context.Canceled)
 }
 
-// wireText renders a program as the source the wire carries: the
-// original text when it has one, its disassembly otherwise (matching
-// what eqasm.Client submits).
-func wireText(p *eqasm.Program) (string, error) {
-	if s := p.Source(); s != "" {
-		return s, nil
+// Describe renders the batch as its /v1/batches wire status, in the
+// shape a worker gives its own jobs, so clients cannot tell the tiers
+// apart.
+func (p *pending) Describe() wire.BatchStatus {
+	sts := p.job.Requests()
+	st := wire.BatchStatus{
+		ID:       p.id,
+		Status:   wire.State(p.job.Status()),
+		Priority: service.PriorityNormal.String(),
+		Requests: make([]wire.RequestStatus, len(sts)),
 	}
-	return p.Disassemble()
+	for i, rs := range sts {
+		ws := wire.RequestStatus{Index: rs.Index, Tag: rs.Tag, Status: wire.State(rs.State)}
+		if res := rs.Result; res != nil {
+			ws.Shots = res.Shots
+			ws.Histogram = res.Histogram
+			ws.Qubits = res.Qubits
+			ws.Stats = res.Stats
+			ws.TotalStats = res.TotalStats
+			ws.Backend = res.Backend
+			ws.RunTime = res.Duration
+		}
+		if rs.Err != nil {
+			ws.Error = rs.Err.Error()
+		}
+		st.Requests[i] = ws
+	}
+	if err := p.job.Err(); err != nil && st.Status.Terminal() {
+		st.Error = err.Error()
+	}
+	return st
+}
+
+// Done is closed when the batch's job finalizes.
+func (p *pending) Done() <-chan struct{} { return p.job.Done() }
+
+// Cancel cancels the batch's job.
+func (p *pending) Cancel() { p.job.Cancel() }
+
+// runRequest rebuilds the execution request a wire request describes
+// around its resolved program.
+func runRequest(prog *eqasm.Program, r wire.Request) eqasm.RunRequest {
+	return eqasm.RunRequest{
+		Program: prog,
+		Options: eqasm.RunOptions{Shots: r.Shots, Seed: r.Seed, Backend: r.Backend, Fusion: r.Fusion},
+		Params:  r.Params,
+		Tag:     r.Tag,
+	}
 }
 
 // newPending builds the controlled job and routing state for a batch.
@@ -93,7 +127,7 @@ func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eq
 	p := &pending{
 		id:       id,
 		reqs:     reqs,
-		srcs:     make([]string, len(reqs)),
+		wire:     make([]wire.Request, len(reqs)),
 		keys:     make([]string, len(reqs)),
 		attempts: make([]int, len(reqs)),
 		terminal: make([]bool, len(reqs)),
@@ -108,12 +142,18 @@ func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eq
 	}
 	p.job, p.ctl = job, ctl
 	for i, r := range reqs {
-		src, err := wireText(r.Program)
+		src, err := r.Program.WireSource()
 		if err != nil {
 			p.cancel(context.Canceled)
 			return nil, fmt.Errorf("coordinator: request %d: %w", i, err)
 		}
-		p.srcs[i] = src
+		// RunRequest.Params takes precedence over Options.Params.
+		params := r.Params
+		if params == nil {
+			params = r.Options.Params
+		}
+		p.wire[i] = wire.Request{Source: src, Shots: r.Options.Shots, Seed: r.Options.Seed,
+			Tag: r.Tag, Backend: r.Options.Backend, Fusion: r.Options.Fusion, Params: params}
 		p.keys[i] = routeKey(src)
 	}
 	if submitCtx != nil && submitCtx.Done() != nil {
@@ -453,15 +493,11 @@ func (c *Coordinator) recover(rb *recBatch) error {
 	}
 	reqs := make([]eqasm.RunRequest, len(rb.accepted.Requests))
 	for i, rr := range rb.accepted.Requests {
-		prog, err := eqasm.Assemble(rr.Source, c.cfg.Machine...)
+		prog, err := c.compile.Compile(rr.Source, rr.Format)
 		if err != nil {
 			return fmt.Errorf("coordinator: wal batch %s request %d: %w", rb.id, i, err)
 		}
-		reqs[i] = eqasm.RunRequest{
-			Program: prog,
-			Options: eqasm.RunOptions{Shots: rr.Shots, Seed: rr.Seed, Backend: rr.Backend},
-			Tag:     rr.Tag,
-		}
+		reqs[i] = runRequest(prog, rr)
 	}
 	p, err := c.newPending(rb.id, nil, reqs)
 	if err != nil {

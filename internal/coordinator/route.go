@@ -23,9 +23,9 @@ type worker struct {
 	draining atomic.Bool
 	inflight atomic.Int64
 
+	// stats is the last successful probe, zeroed when a probe fails.
 	statsMu sync.Mutex
 	stats   eqasm.ServiceStats
-	statsOK bool
 }
 
 // healthLoop probes the pool every HealthInterval until Close.
@@ -69,12 +69,12 @@ func (c *Coordinator) probe(w *worker) {
 	if err != nil {
 		w.healthy.Store(false)
 		w.statsMu.Lock()
-		w.statsOK = false
+		w.stats = eqasm.ServiceStats{}
 		w.statsMu.Unlock()
 		return
 	}
 	w.statsMu.Lock()
-	w.stats, w.statsOK = st, true
+	w.stats = st
 	w.statsMu.Unlock()
 	w.draining.Store(st.Draining)
 	w.healthy.Store(!st.Draining)
@@ -96,13 +96,7 @@ func (c *Coordinator) eligible() []*worker {
 // ("source:" + sha256) the workers key their program caches on, so
 // routing affinity and cache warmth agree by construction.
 func routeKey(src string) string {
-	key, err := service.RequestSpec{Source: src}.CacheKey()
-	if err != nil {
-		// Unreachable for non-empty source; fall back to the text
-		// itself (rendezvous only needs a stable string).
-		return src
-	}
-	return key
+	return service.RequestSpec{Source: src}.CacheKey()
 }
 
 // score is rendezvous (highest-random-weight) hashing: each worker's
@@ -156,16 +150,15 @@ func (c *Coordinator) pick(key string, ws []*worker) *worker {
 // inflight count toward it (probes lag; local dispatches do not).
 func (c *Coordinator) loaded(w *worker) bool {
 	w.statsMu.Lock()
-	st, ok := w.stats, w.statsOK
+	depth, capacity := int64(w.stats.QueueDepth), w.stats.QueueCapacity
 	w.statsMu.Unlock()
-	if !ok || st.QueueCapacity <= 0 {
+	if capacity <= 0 {
 		return false
 	}
-	depth := int64(st.QueueDepth)
 	if inf := w.inflight.Load(); inf > depth {
 		depth = inf
 	}
-	return float64(depth) >= c.cfg.SpillHighWater*float64(st.QueueCapacity)
+	return float64(depth) >= c.cfg.SpillHighWater*float64(capacity)
 }
 
 // route groups the outstanding request indices of p by target worker,
@@ -187,7 +180,7 @@ func (c *Coordinator) route(p *pending, outstanding []int) map[*worker][]int {
 // whole pool is eligible — the introspection hook for reasoning about
 // (and testing) placement.
 func (c *Coordinator) RouteURL(p *eqasm.Program) (string, error) {
-	src, err := wireText(p)
+	src, err := p.WireSource()
 	if err != nil {
 		return "", err
 	}

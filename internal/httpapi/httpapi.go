@@ -1,24 +1,20 @@
-// Package httpapi is the HTTP/JSON front end of the eQASM execution
-// service: the wire protocol behind cmd/eqasm-serve and the public
-// eqasm.Client.
+// Package httpapi is the HTTP/JSON front end of both serving tiers: the
+// wire protocol behind cmd/eqasm-serve (over a service.Service) and
+// cmd/eqasm-coord (over a coordinator.Coordinator), spoken by the
+// public eqasm.Client. The JSON shapes live in internal/wire.
 //
 // Endpoints:
 //
-//	POST   /v1/jobs         submit a job ({"source": ..., "shots": N, "wait": true};
-//	                        {"format": "cqasm"} or {"format": "openqasm"} submits
-//	                        circuit text compiled server-side)
-//	GET    /v1/jobs/{id}    job status and, once finished, its result
-//	DELETE /v1/jobs/{id}    cancel a job
 //	POST   /v1/batches      submit N programs as one queued unit
-//	                        ({"requests": [{"source": ..., "shots": N, "seed": S, "tag": ...}, ...]})
+//	                        ({"requests": [{"source": ..., "shots": N, "seed": S, "tag": ...}, ...]};
+//	                        a request's "format" is "eqasm" (default), "cqasm" or
+//	                        "openqasm", and "wait": true makes the POST synchronous)
 //	GET    /v1/batches/{id} batch status with per-request statuses, histograms and stats
 //	DELETE /v1/batches/{id} cancel a batch
-//	GET    /v1/stats        service counters (queue depth, cache hits, batch stats)
-//	GET    /healthz         liveness probe
+//	GET    /v1/stats        backend counters (queue depth, cache hits, batch stats)
+//	GET    /healthz         liveness probe (503 while draining)
 //
-// Jobs and batches share one ID space: a batch is a job with N
-// requests, and /v1/jobs/{id} describes it too (with per-request
-// results inside "result" once finished).
+// A single job is a one-request batch.
 package httpapi
 
 import (
@@ -28,271 +24,57 @@ import (
 	"fmt"
 	"log"
 	"net/http"
-	"time"
 
-	"eqasm"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
-// Server is the HTTP/JSON front end over a service.Service.
-type Server struct {
-	svc   *service.Service
-	start time.Time
+// Backend is the serving tier the handler set fronts. Both
+// *service.Service and *coordinator.Coordinator implement it, each
+// over its own job type.
+type Backend interface {
+	// SubmitWire validates, resolves and admits a decoded batch; ctx
+	// bounds the batch's lifetime.
+	SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.Batch, error)
+	// Batch returns a submitted batch by ID, including recently
+	// finished ones.
+	Batch(id string) (wire.Batch, bool)
+	// StatsPayload is the /v1/stats body, marshaled verbatim.
+	StatsPayload() any
+	// Draining reports the backend is refusing new work.
+	Draining() bool
 }
 
-// New builds a Server over svc.
-func New(svc *service.Service) *Server {
-	return &Server{svc: svc, start: time.Now()}
+// Server is the HTTP/JSON front end over a Backend.
+type Server struct {
+	b Backend
+}
+
+// New builds a Server over b.
+func New(b Backend) *Server {
+	return &Server{b: b}
 }
 
 // Handler builds the route table.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
-	mux.HandleFunc("GET /v1/jobs/{id}", s.handleGetJob)
-	mux.HandleFunc("DELETE /v1/jobs/{id}", s.handleCancelJob)
-	mux.HandleFunc("POST /v1/batches", s.handleSubmitBatch)
-	mux.HandleFunc("GET /v1/batches/{id}", s.handleGetBatch)
-	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancelBatch)
+	mux.HandleFunc("POST /v1/batches", s.handleSubmit)
+	mux.HandleFunc("GET /v1/batches/{id}", s.handleGet)
+	mux.HandleFunc("DELETE /v1/batches/{id}", s.handleCancel)
 	mux.HandleFunc("GET /v1/stats", s.handleStats)
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	return mux
 }
 
-// jobRequest is the POST /v1/jobs payload. Exactly one of source and
-// circuit must be set.
-type jobRequest struct {
-	// Source is program text in the language named by Format.
-	Source string `json:"source,omitempty"`
-	// Format is the source language: "eqasm" (default), "cqasm" or
-	// "openqasm" (hardware-independent circuit text in either syntax,
-	// compiled server-side).
-	Format string `json:"format,omitempty"`
-	// Circuit is a hardware-independent circuit to compile.
-	Circuit *circuitJSON `json:"circuit,omitempty"`
-	// Shots is the repetition count (default 1).
-	Shots int `json:"shots,omitempty"`
-	// Priority is "low", "normal" (default) or "high".
-	Priority string `json:"priority,omitempty"`
-	// Seed, when nonzero, fixes the job's random streams (must be
-	// non-negative).
-	Seed int64 `json:"seed,omitempty"`
-	// Chip, when set, names the topology the program was built for;
-	// the service rejects the job if it runs a different chip.
-	Chip string `json:"chip,omitempty"`
-	// Backend overrides the chip-simulation backend for this job:
-	// "auto", "statevector", "densitymatrix" or "stabilizer".
-	Backend string `json:"backend,omitempty"`
-	// Fusion overrides plan-time gate fusion for this job: "on" or
-	// "off" (default: the execution backend's setting, fusion on).
-	Fusion string `json:"fusion,omitempty"`
-	// Params binds the program's symbolic rotation parameters (name →
-	// angle in radians). Params are a bind point, not program content:
-	// they stay out of the program cache key.
-	Params map[string]float64 `json:"params,omitempty"`
-	// Wait makes the request synchronous: the response carries the
-	// result instead of a queued-job ticket.
-	Wait bool `json:"wait,omitempty"`
-}
-
-type circuitJSON struct {
-	Name      string     `json:"name,omitempty"`
-	NumQubits int        `json:"num_qubits"`
-	Gates     []gateJSON `json:"gates"`
-}
-
-type gateJSON struct {
-	Name           string  `json:"name"`
-	Qubits         []int   `json:"qubits"`
-	DurationCycles int     `json:"duration_cycles,omitempty"`
-	Measure        bool    `json:"measure,omitempty"`
-	Angle          float64 `json:"angle,omitempty"`
-	Param          string  `json:"param,omitempty"`
-}
-
-func (c *circuitJSON) toCircuit() *eqasm.Circuit {
-	out := &eqasm.Circuit{Name: c.Name, NumQubits: c.NumQubits}
-	for _, g := range c.Gates {
-		out.Gates = append(out.Gates, eqasm.Gate{
-			Name:           g.Name,
-			Qubits:         g.Qubits,
-			DurationCycles: g.DurationCycles,
-			Measure:        g.Measure,
-			Angle:          g.Angle,
-			Param:          g.Param,
-		})
-	}
-	return out
-}
-
-// jobResponse describes a job in every GET/POST response.
-type jobResponse struct {
-	ID       string          `json:"id"`
-	Status   service.State   `json:"status"`
-	Priority string          `json:"priority"`
-	Result   *service.Result `json:"result,omitempty"`
-	Error    string          `json:"error,omitempty"`
-}
-
-func describeJob(job *service.Job) jobResponse {
-	resp := jobResponse{
-		ID:       job.ID,
-		Status:   job.Status(),
-		Priority: job.Priority().String(),
-	}
-	if resp.Status.Terminal() {
-		res, err := job.Result()
-		resp.Result = res
-		if err != nil {
-			resp.Error = err.Error()
-		}
-	}
-	return resp
-}
-
-// batchRequest is the POST /v1/batches payload: N program requests
-// admitted, queued and retired as one job.
-type batchRequest struct {
-	// Requests are the programs to execute, each with its own shots,
-	// seed and tag.
-	Requests []batchRequestItem `json:"requests"`
-	// Priority orders the whole batch: "low", "normal" (default) or
-	// "high".
-	Priority string `json:"priority,omitempty"`
-	// Wait makes the request synchronous: the response carries every
-	// request's result instead of a queued-batch ticket.
-	Wait bool `json:"wait,omitempty"`
-}
-
-// batchRequestItem is one request of a batch, mirroring the
-// single-job payload minus priority/wait (those are batch-level).
-type batchRequestItem struct {
-	Source  string             `json:"source,omitempty"`
-	Format  string             `json:"format,omitempty"`
-	Circuit *circuitJSON       `json:"circuit,omitempty"`
-	Shots   int                `json:"shots,omitempty"`
-	Seed    int64              `json:"seed,omitempty"`
-	Tag     string             `json:"tag,omitempty"`
-	Chip    string             `json:"chip,omitempty"`
-	Backend string             `json:"backend,omitempty"`
-	Fusion  string             `json:"fusion,omitempty"`
-	Params  map[string]float64 `json:"params,omitempty"`
-}
-
-// batchResponse describes a batch in every GET/POST response: job
-// identity plus live per-request statuses (histograms and counters
-// included once a request finished).
-type batchResponse struct {
-	ID       string                  `json:"id"`
-	Status   service.State           `json:"status"`
-	Priority string                  `json:"priority"`
-	Requests []service.RequestResult `json:"requests"`
-	Result   *service.Result         `json:"result,omitempty"`
-	Error    string                  `json:"error,omitempty"`
-}
-
-func describeBatch(job *service.Job) batchResponse {
-	resp := batchResponse{
-		ID:       job.ID,
-		Status:   job.Status(),
-		Priority: job.Priority().String(),
-		Requests: job.Requests(),
-	}
-	if resp.Status.Terminal() {
-		res, err := job.Result()
-		resp.Result = res
-		if err != nil {
-			resp.Error = err.Error()
-		}
-	}
-	return resp
-}
-
-// maxRequestBytes bounds a job submission body (programs are text; 8 MiB
-// is orders of magnitude above any real payload).
+// maxRequestBytes bounds a batch submission body (programs are text;
+// 8 MiB is orders of magnitude above any real payload).
 const maxRequestBytes = 8 << 20
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	var req jobRequest
+	var req wire.BatchRequest
 	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
 		return
-	}
-	prio, err := service.ParsePriority(req.Priority)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := service.JobSpec{
-		Source:   req.Source,
-		Format:   req.Format,
-		Shots:    req.Shots,
-		Priority: prio,
-		Seed:     req.Seed,
-		Chip:     req.Chip,
-		Backend:  req.Backend,
-		Fusion:   req.Fusion,
-		Params:   req.Params,
-	}
-	if req.Circuit != nil {
-		spec.Circuit = req.Circuit.toCircuit()
-	}
-	// A waiting client that disconnects cancels its job; an async job
-	// must outlive the request and is cancelled via DELETE instead.
-	ctx := context.Background()
-	if req.Wait {
-		ctx = r.Context()
-	}
-	job, err := s.svc.Submit(ctx, spec)
-	switch {
-	case err == nil:
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrDraining):
-		httpError(w, http.StatusServiceUnavailable, err)
-		return
-	default:
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	if req.Wait {
-		if _, err := job.Wait(r.Context()); err != nil && job.Status() == service.StateQueued {
-			// The client went away while the job was still queued.
-			httpError(w, http.StatusRequestTimeout, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, describeJob(job))
-		return
-	}
-	writeJSON(w, http.StatusAccepted, describeJob(job))
-}
-
-func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
-	var req batchRequest
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxRequestBytes)).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, fmt.Errorf("bad request body: %w", err))
-		return
-	}
-	prio, err := service.ParsePriority(req.Priority)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
-		return
-	}
-	spec := service.BatchSpec{Priority: prio}
-	for _, item := range req.Requests {
-		rs := service.RequestSpec{
-			Source:  item.Source,
-			Format:  item.Format,
-			Shots:   item.Shots,
-			Seed:    item.Seed,
-			Tag:     item.Tag,
-			Chip:    item.Chip,
-			Backend: item.Backend,
-			Fusion:  item.Fusion,
-			Params:  item.Params,
-		}
-		if item.Circuit != nil {
-			rs.Circuit = item.Circuit.toCircuit()
-		}
-		spec.Requests = append(spec.Requests, rs)
 	}
 	// A waiting client that disconnects cancels its batch; an async
 	// batch must outlive the request and is cancelled via DELETE
@@ -301,82 +83,66 @@ func (s *Server) handleSubmitBatch(w http.ResponseWriter, r *http.Request) {
 	if req.Wait {
 		ctx = r.Context()
 	}
-	job, err := s.svc.SubmitBatch(ctx, spec)
+	batch, err := s.b.SubmitWire(ctx, req)
 	switch {
 	case err == nil:
-	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrClosed), errors.Is(err, service.ErrDraining):
+	case errors.Is(err, service.ErrQueueFull), errors.Is(err, service.ErrClosed):
+		// ErrDraining matches ErrClosed.
 		httpError(w, http.StatusServiceUnavailable, err)
 		return
 	default:
 		httpError(w, http.StatusBadRequest, err)
 		return
 	}
-	if req.Wait {
-		if _, err := job.Wait(r.Context()); err != nil && job.Status() == service.StateQueued {
-			// The client went away while the batch was still queued.
-			httpError(w, http.StatusRequestTimeout, err)
-			return
-		}
-		writeJSON(w, http.StatusOK, describeBatch(job))
+	if !req.Wait {
+		writeJSON(w, http.StatusAccepted, batch.Describe())
 		return
 	}
-	writeJSON(w, http.StatusAccepted, describeBatch(job))
+	select {
+	case <-batch.Done():
+	case <-r.Context().Done():
+	}
+	st := batch.Describe()
+	if st.Status == wire.StateQueued {
+		// The client went away while the batch was still queued.
+		httpError(w, http.StatusRequestTimeout, r.Context().Err())
+		return
+	}
+	writeJSON(w, http.StatusOK, st)
 }
 
-func (s *Server) handleGetBatch(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
+func (s *Server) handleGet(w http.ResponseWriter, r *http.Request) {
+	if batch, ok := s.lookup(w, r); ok {
+		writeJSON(w, http.StatusOK, batch.Describe())
+	}
+}
+
+func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
+	if batch, ok := s.lookup(w, r); ok {
+		batch.Cancel()
+		writeJSON(w, http.StatusOK, batch.Describe())
+	}
+}
+
+// lookup resolves the {id} path value, answering 404 itself when the
+// batch is unknown.
+func (s *Server) lookup(w http.ResponseWriter, r *http.Request) (wire.Batch, bool) {
+	batch, ok := s.b.Batch(r.PathValue("id"))
 	if !ok {
 		httpError(w, http.StatusNotFound, fmt.Errorf("unknown batch %q", r.PathValue("id")))
-		return
 	}
-	writeJSON(w, http.StatusOK, describeBatch(job))
-}
-
-func (s *Server) handleCancelBatch(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown batch %q", r.PathValue("id")))
-		return
-	}
-	job.Cancel()
-	writeJSON(w, http.StatusOK, describeBatch(job))
-}
-
-func (s *Server) handleGetJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	writeJSON(w, http.StatusOK, describeJob(job))
-}
-
-func (s *Server) handleCancelJob(w http.ResponseWriter, r *http.Request) {
-	job, ok := s.svc.Job(r.PathValue("id"))
-	if !ok {
-		httpError(w, http.StatusNotFound, fmt.Errorf("unknown job %q", r.PathValue("id")))
-		return
-	}
-	job.Cancel()
-	writeJSON(w, http.StatusOK, describeJob(job))
+	return batch, ok
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	type statsResponse struct {
-		service.Stats
-		UptimeSeconds float64 `json:"uptime_seconds"`
-	}
-	writeJSON(w, http.StatusOK, statsResponse{
-		Stats:         s.svc.Stats(),
-		UptimeSeconds: time.Since(s.start).Seconds(),
-	})
+	writeJSON(w, http.StatusOK, s.b.StatsPayload())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	// A draining worker is alive but out of rotation: 503 tells load
+	// A draining backend is alive but out of rotation: 503 tells load
 	// balancers and the coordinator to stop steering work here while
-	// in-flight jobs finish.
-	if s.svc.Draining() {
+	// in-flight batches finish.
+	if s.b.Draining() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "draining"})
 		return
 	}

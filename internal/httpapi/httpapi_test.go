@@ -11,6 +11,7 @@ import (
 
 	"eqasm"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 func newTestServer(t *testing.T) *httptest.Server {
@@ -49,6 +50,22 @@ func postJSON(t *testing.T, url string, body any) (*http.Response, map[string]js
 	return resp, out
 }
 
+// one wraps a single request into a /v1/batches payload: a single job
+// is a one-request batch.
+func one(req map[string]any, wait bool) map[string]any {
+	return map[string]any{"requests": []map[string]any{req}, "wait": wait}
+}
+
+// first decodes the first request status of a batch response.
+func first(t *testing.T, body map[string]json.RawMessage) wire.RequestStatus {
+	t.Helper()
+	reqs := field[[]wire.RequestStatus](t, body, "requests")
+	if len(reqs) != 1 {
+		t.Fatalf("batch carries %d request statuses, want 1: %v", len(reqs), body)
+	}
+	return reqs[0]
+}
+
 func field[T any](t *testing.T, m map[string]json.RawMessage, key string) T {
 	t.Helper()
 	var v T
@@ -65,24 +82,21 @@ func field[T any](t *testing.T, m map[string]json.RawMessage, key string) T {
 // A synchronous submit returns the aggregated Bell histogram.
 func TestSubmitWait(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
 		"source": service.SmokePrograms()["bell"],
 		"shots":  100,
-		"wait":   true,
-	})
+	}, true))
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status = %d, body %v", resp.StatusCode, body)
 	}
 	if st := field[string](t, body, "status"); st != "completed" {
 		t.Fatalf("status field = %q", st)
 	}
-	result := field[map[string]json.RawMessage](t, body, "result")
-	var hist map[string]int
-	if err := json.Unmarshal(result["histogram"], &hist); err != nil {
-		t.Fatal(err)
+	if _, ok := body["result"]; ok {
+		t.Fatal("terminal batch response repeats the aggregate result")
 	}
 	total := 0
-	for key, n := range hist {
+	for key, n := range first(t, body).Histogram {
 		if key != "00" && key != "11" {
 			t.Fatalf("uncorrelated outcome %q", key)
 		}
@@ -96,32 +110,29 @@ func TestSubmitWait(t *testing.T) {
 // An async submit returns 202 and the job becomes queryable until done.
 func TestSubmitPoll(t *testing.T) {
 	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
 		"source": service.SmokePrograms()["flip"],
 		"shots":  20,
-	})
+	}, false))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	id := field[string](t, body, "id")
 	deadline := time.Now().Add(30 * time.Second)
 	for {
-		r, err := http.Get(ts.URL + "/v1/jobs/" + id)
+		r, err := http.Get(ts.URL + "/v1/batches/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var jr struct {
-			Status string          `json:"status"`
-			Result *service.Result `json:"result"`
-		}
+		var jr wire.BatchStatus
 		err = json.NewDecoder(r.Body).Decode(&jr)
 		r.Body.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if jr.Status == "completed" {
-			if jr.Result == nil || jr.Result.Shots != 20 {
-				t.Fatalf("result = %+v", jr.Result)
+			if len(jr.Requests) != 1 || jr.Requests[0].Shots != 20 {
+				t.Fatalf("result = %+v", jr.Requests)
 			}
 			break
 		}
@@ -132,55 +143,52 @@ func TestSubmitPoll(t *testing.T) {
 	}
 }
 
-// Circuits submit through the same endpoint.
-func TestSubmitCircuit(t *testing.T) {
-	ts := newTestServer(t)
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"circuit": map[string]any{
-			"num_qubits": 3,
-			"gates": []map[string]any{
-				{"name": "X", "qubits": []int{0}},
-				{"name": "MEASZ", "qubits": []int{0}, "measure": true},
-			},
-		},
-		"shots": 10,
-		"wait":  true,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status = %d, body %v", resp.StatusCode, body)
-	}
-	result := field[map[string]json.RawMessage](t, body, "result")
-	var hist map[string]int
-	if err := json.Unmarshal(result["histogram"], &hist); err != nil {
-		t.Fatal(err)
-	}
-	if hist["1"] != 10 {
-		t.Fatalf("X|0> histogram = %v, want all \"1\"", hist)
-	}
-}
-
-// Bad payloads are 400s, unknown jobs 404s, and stats/healthz serve.
+// Bad payloads are 400s, unknown batches and the retired /v1/jobs
+// route 404s, and stats/healthz serve.
 func TestErrorPathsAndStats(t *testing.T) {
 	ts := newTestServer(t)
 
-	resp, _ := postJSON(t, ts.URL+"/v1/jobs", map[string]any{"shots": 5})
+	resp, _ := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{"shots": 5}, false))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("empty spec: status = %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": "NOTANINSTRUCTION", "wait": true,
-	})
+	resp, _ = postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
+		"source": "NOTANINSTRUCTION",
+	}, true))
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("assembly error: status = %d", resp.StatusCode)
 	}
-	resp, _ = postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": "STOP", "priority": "urgent",
+	resp, _ = postJSON(t, ts.URL+"/v1/batches", map[string]any{
+		"requests": []map[string]any{{"source": "STOP"}}, "priority": "urgent",
 	})
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad priority: status = %d", resp.StatusCode)
 	}
+	// The JSON circuit format is retired: a request carrying only a
+	// circuit has no source.
+	resp, _ = postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
+		"circuit": map[string]any{
+			"num_qubits": 3,
+			"gates":      []map[string]any{{"name": "X", "qubits": []int{0}}},
+		},
+		"shots": 10,
+	}, true))
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("circuit-only request: status = %d", resp.StatusCode)
+	}
 
-	r, err := http.Get(ts.URL + "/v1/jobs/job-999999")
+	// The single-job route is retired: a job is a one-request batch.
+	r, err := http.Post(ts.URL+"/v1/jobs", "application/json",
+		bytes.NewReader([]byte(`{"source": "STOP", "wait": true}`)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.Body.Close()
+	if r.StatusCode != http.StatusNotFound {
+		t.Fatalf("POST /v1/jobs: status = %d, want 404", r.StatusCode)
+	}
+
+	r, err = http.Get(ts.URL + "/v1/batches/job-999999")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -190,9 +198,9 @@ func TestErrorPathsAndStats(t *testing.T) {
 	}
 
 	// One real job so the counters move.
-	if resp, _ := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-		"source": service.SmokePrograms()["flip"], "shots": 5, "wait": true,
-	}); resp.StatusCode != http.StatusOK {
+	if resp, _ := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
+		"source": service.SmokePrograms()["flip"], "shots": 5,
+	}, true)); resp.StatusCode != http.StatusOK {
 		t.Fatalf("job: status = %d", resp.StatusCode)
 	}
 
@@ -246,16 +254,16 @@ func TestCancelJob(t *testing.T) {
 		ts.Close()
 		svc.Close()
 	}()
-	resp, body := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
+	resp, body := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
 		"source": service.SmokePrograms()["bell"],
 		"shots":  500000,
-	})
+	}, false))
 	if resp.StatusCode != http.StatusAccepted {
 		t.Fatalf("status = %d", resp.StatusCode)
 	}
 	id := field[string](t, body, "id")
 
-	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/jobs/%s", ts.URL, id), nil)
+	req, err := http.NewRequest(http.MethodDelete, fmt.Sprintf("%s/v1/batches/%s", ts.URL, id), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +291,7 @@ func TestCancelJob(t *testing.T) {
 
 // A /v1/batches submit queues N programs as one job with per-request
 // statuses; polling surfaces per-request histograms and stats, and the
-// wire results match individual /v1/jobs submissions at the same seeds.
+// wire results match one-request batch submissions at the same seeds.
 func TestSubmitBatch(t *testing.T) {
 	ts := newTestServer(t)
 	requests := []map[string]any{
@@ -300,17 +308,14 @@ func TestSubmitBatch(t *testing.T) {
 	}
 
 	// Poll the batch endpoint until terminal.
-	var reqs []service.RequestResult
+	var reqs []wire.RequestStatus
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		r, err := http.Get(ts.URL + "/v1/batches/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var br struct {
-			Status   service.State           `json:"status"`
-			Requests []service.RequestResult `json:"requests"`
-		}
+		var br wire.BatchStatus
 		if err := json.NewDecoder(r.Body).Decode(&br); err != nil {
 			t.Fatal(err)
 		}
@@ -326,18 +331,12 @@ func TestSubmitBatch(t *testing.T) {
 	}
 
 	// Each request's wire histogram matches the same program submitted
-	// alone through /v1/jobs (fixed seeds).
+	// alone as a one-request batch (fixed seeds).
 	for i, req := range requests {
-		_, solo := postJSON(t, ts.URL+"/v1/jobs", map[string]any{
-			"source": req["source"], "shots": req["shots"], "seed": req["seed"], "wait": true,
-		})
-		var soloRes struct {
-			Histogram map[string]int  `json:"histogram"`
-			Total     eqasm.ExecStats `json:"total_stats"`
-		}
-		if err := json.Unmarshal(solo["result"], &soloRes); err != nil {
-			t.Fatal(err)
-		}
+		_, solo := postJSON(t, ts.URL+"/v1/batches", one(map[string]any{
+			"source": req["source"], "shots": req["shots"], "seed": req["seed"],
+		}, true))
+		soloRes := first(t, solo)
 		rr := reqs[i]
 		if rr.Tag != req["tag"] || rr.Status != service.StateCompleted {
 			t.Fatalf("request %d = %+v", i, rr)
@@ -345,8 +344,8 @@ func TestSubmitBatch(t *testing.T) {
 		if fmt.Sprint(rr.Histogram) != fmt.Sprint(soloRes.Histogram) {
 			t.Fatalf("request %d: batch %v, solo %v", i, rr.Histogram, soloRes.Histogram)
 		}
-		if rr.TotalStats != soloRes.Total || rr.TotalStats.Instructions == 0 {
-			t.Fatalf("request %d: total stats %+v, solo %+v", i, rr.TotalStats, soloRes.Total)
+		if rr.TotalStats != soloRes.TotalStats || rr.TotalStats.Instructions == 0 {
+			t.Fatalf("request %d: total stats %+v, solo %+v", i, rr.TotalStats, soloRes.TotalStats)
 		}
 	}
 

@@ -59,18 +59,9 @@ func TestProgramCacheDuplicatePutKeepsResident(t *testing.T) {
 }
 
 func TestCacheKeyDistinguishesContent(t *testing.T) {
-	k1, err := RequestSpec{Source: "X S0\nSTOP"}.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k2, err := RequestSpec{Source: "Y S0\nSTOP"}.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
-	k3, err := RequestSpec{Source: "X S0\nSTOP"}.CacheKey()
-	if err != nil {
-		t.Fatal(err)
-	}
+	k1 := RequestSpec{Source: "X S0\nSTOP"}.CacheKey()
+	k2 := RequestSpec{Source: "Y S0\nSTOP"}.CacheKey()
+	k3 := RequestSpec{Source: "X S0\nSTOP"}.CacheKey()
 	if k1 == k2 {
 		t.Fatal("different sources share a key")
 	}

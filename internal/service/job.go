@@ -13,6 +13,7 @@ import (
 	"time"
 
 	"eqasm"
+	"eqasm/internal/wire"
 )
 
 // Priority orders jobs in the queue; higher runs first, FIFO within a
@@ -60,56 +61,21 @@ const (
 	FormatOpenQASM = "openqasm"
 )
 
-// RequestSpec describes one program execution within a batch job.
-type RequestSpec struct {
-	// Source is program text in the language named by Format. Exactly
-	// one of Source and Circuit must be set.
-	Source string
-	// Format is the Source language: FormatEQASM (default),
-	// FormatCQASM or FormatOpenQASM.
-	Format string
-	// Circuit is a hardware-independent circuit to schedule and emit
-	// before execution.
-	Circuit *eqasm.Circuit
-	// Shots is the number of repetitions; default 1.
-	Shots int
-	// Seed, when nonzero, replaces the service's base seed for this
-	// request's random streams (shot batch i runs at Seed +
-	// i*eqasm.SeedStride). Must be non-negative: a negative base could
-	// derive a batch seed of exactly 0, which the execution backend
-	// reads as "use the default", breaking reproducibility. Because a
-	// request splits into shot batches exactly as a single-request job
-	// with the same shot count would, its results are bit-identical
-	// whether it is submitted alone or inside a batch.
-	Seed int64
-	// Tag is an opaque caller label echoed back in statuses and
-	// results.
-	Tag string
-	// Chip, when set, names the topology the program was built for;
-	// the service rejects the batch if it runs a different chip, so a
-	// program bound elsewhere cannot silently execute with different
-	// semantics.
-	Chip string
-	// Backend, when set, overrides the chip-simulation backend for this
-	// request: "auto", "statevector", "densitymatrix" or "stabilizer"
-	// (eqasm.WithBackend). The default is the service's configured
-	// selection. Backend choice does not affect program caching — the
-	// same assembled program serves every backend.
-	Backend string
-	// Fusion, when set, overrides plan-time gate fusion for this
-	// request: eqasm.FusionOn or eqasm.FusionOff. The default uses the
-	// execution backend's setting (fusion on). Like Backend, it does
-	// not affect program caching.
-	Fusion string
-	// Params binds the program's symbolic rotation parameters for this
-	// request (name → angle in radians), with eqasm.RunRequest.Params
-	// semantics: missing, unknown and non-finite values fail the
-	// request. Params are a bind point, not program content — they stay
-	// out of the cache key, so every point of a sweep batch shares one
-	// cached program, one execution plan and (via content-affinity
-	// routing) one worker's caches.
-	Params map[string]float64
-}
+// RequestSpec describes one program execution within a batch job: the
+// wire request itself (see wire.Request for the fields), with the
+// service's validation and cache keying. Beyond the wire docs: a
+// nonzero Seed replaces the service's base seed, and shot batch i runs
+// at Seed + i*eqasm.SeedStride. A request splits into shot batches
+// exactly as a single-request job with the same shot count would, so
+// its results are bit-identical whether it is submitted alone or
+// inside a batch. Seed must be non-negative: a negative base could
+// derive a batch seed of exactly 0, which the execution backend reads
+// as "use the default". Backend, Fusion and Params do not affect
+// program caching — the same assembled program serves every backend,
+// fusion setting and parameter point, so every point of a sweep batch
+// shares one cached program, one execution plan and (via
+// content-affinity routing) one worker's caches.
+type RequestSpec wire.Request
 
 // BatchSpec describes a batch job: N program requests admitted,
 // queued and retired as one unit, with per-request histograms.
@@ -125,7 +91,6 @@ type BatchSpec struct {
 type JobSpec struct {
 	Source   string
 	Format   string
-	Circuit  *eqasm.Circuit
 	Shots    int
 	Priority Priority
 	Seed     int64
@@ -143,7 +108,6 @@ func (spec JobSpec) batch() BatchSpec {
 		Requests: []RequestSpec{{
 			Source:  spec.Source,
 			Format:  spec.Format,
-			Circuit: spec.Circuit,
 			Shots:   spec.Shots,
 			Seed:    spec.Seed,
 			Chip:    spec.Chip,
@@ -152,6 +116,21 @@ func (spec JobSpec) batch() BatchSpec {
 			Params:  spec.Params,
 		}},
 	}
+}
+
+// BatchFromWire converts a decoded /v1/batches payload into a batch
+// spec: the requests already have the spec's shape, only the priority
+// name needs parsing.
+func BatchFromWire(req wire.BatchRequest) (BatchSpec, error) {
+	prio, err := ParsePriority(req.Priority)
+	if err != nil {
+		return BatchSpec{}, err
+	}
+	spec := BatchSpec{Priority: prio, Requests: make([]RequestSpec, len(req.Requests))}
+	for i, r := range req.Requests {
+		spec.Requests[i] = RequestSpec(r)
+	}
+	return spec, nil
 }
 
 // MaxJobShots bounds a single request's shot count: large enough for
@@ -168,15 +147,11 @@ func (spec RequestSpec) validate(i int) error {
 	fail := func(err error) error {
 		return fmt.Errorf("service: request %d: %w", i, err)
 	}
-	if (spec.Source == "") == (spec.Circuit == nil) {
-		return fail(errors.New("needs exactly one of Source or Circuit"))
+	if spec.Source == "" {
+		return fail(errors.New("empty source"))
 	}
 	switch spec.Format {
-	case "", FormatEQASM:
-	case FormatCQASM, FormatOpenQASM:
-		if spec.Circuit != nil {
-			return fail(errors.New("format applies to Source text, not Circuit jobs"))
-		}
+	case "", FormatEQASM, FormatCQASM, FormatOpenQASM:
 	default:
 		return fail(fmt.Errorf("unknown format %q (valid: %s, %s, %s)",
 			spec.Format, FormatEQASM, FormatCQASM, FormatOpenQASM))
@@ -214,7 +189,10 @@ func (spec RequestSpec) validate(i int) error {
 	return nil
 }
 
-func (spec BatchSpec) validate() error {
+// Validate checks the batch against the service's admission rules
+// (request count, source, format, shots, seed, backend, fusion and
+// parameter values) without resolving any program.
+func (spec BatchSpec) Validate() error {
 	if len(spec.Requests) == 0 {
 		return errors.New("service: empty batch")
 	}
@@ -243,8 +221,7 @@ func (spec BatchSpec) withDefaults() BatchSpec {
 }
 
 // CacheKey is the content hash under which the compiled program is
-// cached: the source text prefixed by its format, or a canonical
-// rendering of the circuit. cQASM, OpenQASM and eQASM sources hash
+// cached: the source text prefixed by its format. cQASM, OpenQASM and eQASM sources hash
 // into disjoint key spaces, so compiled circuits are cached alongside
 // assembled programs without collisions (identical circuit text in two
 // front-end syntaxes is still two cache entries — the key is content,
@@ -256,116 +233,70 @@ func (spec BatchSpec) withDefaults() BatchSpec {
 // parameter name) is program content and hashes; the Params bind map
 // deliberately does not — a sweep's points differ only in Params, so
 // all of them share one cache entry and one plan.
-func (spec RequestSpec) CacheKey() (string, error) {
+func (spec RequestSpec) CacheKey() string {
 	h := sha256.New()
-	switch {
-	case spec.Circuit != nil:
-		fmt.Fprintf(h, "circuit:%s:%d\n", spec.Circuit.Name, spec.Circuit.NumQubits)
-		for _, g := range spec.Circuit.Gates {
-			fmt.Fprintf(h, "%s %v %d %t %v %s\n", g.Name, g.Qubits, g.DurationCycles, g.Measure, g.Angle, g.Param)
-		}
-	case spec.Format == FormatCQASM:
+	switch spec.Format {
+	case FormatCQASM:
 		fmt.Fprintf(h, "cqasm:")
-		h.Write([]byte(spec.Source))
-	case spec.Format == FormatOpenQASM:
+	case FormatOpenQASM:
 		fmt.Fprintf(h, "openqasm:")
-		h.Write([]byte(spec.Source))
 	default:
 		fmt.Fprintf(h, "source:")
-		h.Write([]byte(spec.Source))
 	}
-	return hex.EncodeToString(h.Sum(nil)), nil
+	h.Write([]byte(spec.Source))
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // State is a job's (or one request's) lifecycle phase.
-type State string
+type State = wire.State
 
 const (
-	StateQueued    State = "queued"
-	StateRunning   State = "running"
-	StateCompleted State = "completed"
-	StateFailed    State = "failed"
-	StateCancelled State = "cancelled"
+	StateQueued    = wire.StateQueued
+	StateRunning   = wire.StateRunning
+	StateCompleted = wire.StateCompleted
+	StateFailed    = wire.StateFailed
+	StateCancelled = wire.StateCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s State) Terminal() bool {
-	return s == StateCompleted || s == StateFailed || s == StateCancelled
-}
-
-// RequestResult is one request's status and, once finished, outcome
-// inside a batch job. It doubles as the live per-request status
-// snapshot (Job.Requests) and the wire format of /v1/batches.
-type RequestResult struct {
-	// Index is the request's position in the batch.
-	Index int `json:"index"`
-	// Tag echoes RequestSpec.Tag.
-	Tag string `json:"tag,omitempty"`
-	// Status is the request's lifecycle phase.
-	Status State `json:"status"`
-	// Shots counts this request's executed shots so far.
-	Shots int `json:"shots"`
-	// Histogram counts this request's measurement outcomes (same key
-	// scheme as Result.Histogram).
-	Histogram map[string]int `json:"histogram,omitempty"`
-	// Qubits lists the request's measured qubits, ascending.
-	Qubits []int `json:"qubits,omitempty"`
-	// Stats are the counters of the request's last executed shot.
-	Stats eqasm.ExecStats `json:"stats"`
-	// TotalStats sums the counters of every executed shot.
-	TotalStats eqasm.ExecStats `json:"total_stats"`
-	// CacheHit reports that the request's program came from the cache.
-	CacheHit bool `json:"cache_hit"`
-	// Backend names the chip-simulation backend that executed the
-	// request's shots ("statevector", "densitymatrix" or "stabilizer"),
-	// resolved from the request's Backend field or auto-selection.
-	Backend string `json:"backend,omitempty"`
-	// RunTime spans the request's first batch start to its last batch
-	// end (still growing while the request runs).
-	RunTime time.Duration `json:"run_ns"`
-	// Error is the request's failure or cancellation message.
-	Error string `json:"error,omitempty"`
-}
 
 // Result is a finished job's aggregate outcome. Requests always carries
 // the per-request results; the top-level Histogram/Qubits/Stats mirror
 // request 0 for single-request jobs (the classic surface) and are empty
 // for multi-request batches, whose outcomes are per request.
 type Result struct {
-	JobID string `json:"job_id"`
+	JobID string
 	// Shots is the number of shots actually executed, summed across
 	// requests (less than requested when the job was cancelled
 	// mid-run).
-	Shots int `json:"shots"`
+	Shots int
 	// Histogram counts measurement outcomes of a single-request job.
 	// Keys are bitstrings over the measured qubits in ascending qubit
 	// order (the last result per qubit within a shot); a program that
 	// measures nothing contributes to the "" key.
-	Histogram map[string]int `json:"histogram"`
+	Histogram map[string]int
 	// Qubits lists the measured qubits, ascending — the bit order of
 	// the histogram keys (single-request jobs).
-	Qubits []int `json:"qubits,omitempty"`
+	Qubits []int
 	// Stats are the counters of the last executed shot (single-request
 	// jobs; see Requests for batches).
-	Stats eqasm.ExecStats `json:"stats"`
+	Stats eqasm.ExecStats
 	// TotalStats sums every executed shot's counters across all
 	// requests.
-	TotalStats eqasm.ExecStats `json:"total_stats"`
+	TotalStats eqasm.ExecStats
 	// Requests are the per-request outcomes, in batch order.
-	Requests []RequestResult `json:"requests"`
+	Requests []wire.RequestStatus
 	// CacheHit reports that every request's program came from the
 	// cache.
-	CacheHit bool `json:"cache_hit"`
+	CacheHit bool
 	// AssembleTime is the assembly/compilation cost paid by this job
 	// (zero on cache hits), summed across requests.
-	AssembleTime time.Duration `json:"assemble_ns"`
+	AssembleTime time.Duration
 	// QueueTime spans submit to first batch start.
-	QueueTime time.Duration `json:"queue_ns"`
+	QueueTime time.Duration
 	// RunTime spans first batch start to last batch end.
-	RunTime time.Duration `json:"run_ns"`
+	RunTime time.Duration
 	// StartedAt and FinishedAt bound the job's execution window.
-	StartedAt  time.Time `json:"started_at"`
-	FinishedAt time.Time `json:"finished_at"`
+	StartedAt  time.Time
+	FinishedAt time.Time
 }
 
 // requestRun is the mutable execution state of one request (guarded by
@@ -483,12 +414,33 @@ func (j *Job) Status() State {
 // NumRequests returns the batch width.
 func (j *Job) NumRequests() int { return len(j.reqs) }
 
-// Requests snapshots the live per-request statuses (histograms and
-// counters included, partial while the request runs).
-func (j *Job) Requests() []RequestResult {
+// Describe renders the job as its /v1/batches wire status: identity,
+// lifecycle phase, live per-request statuses and, once terminal, the
+// job's failure or cancellation cause.
+func (j *Job) Describe() wire.BatchStatus {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	out := make([]RequestResult, len(j.reqs))
+	st := wire.BatchStatus{
+		ID:       j.ID,
+		Status:   j.state,
+		Priority: j.priority.String(),
+		Requests: make([]wire.RequestStatus, len(j.reqs)),
+	}
+	for i, r := range j.reqs {
+		st.Requests[i] = r.snapshot(i)
+	}
+	if j.state.Terminal() && j.err != nil {
+		st.Error = j.err.Error()
+	}
+	return st
+}
+
+// Requests snapshots the live per-request statuses (histograms and
+// counters included, partial while the request runs).
+func (j *Job) Requests() []wire.RequestStatus {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	out := make([]wire.RequestStatus, len(j.reqs))
 	for i, r := range j.reqs {
 		out[i] = r.snapshot(i)
 	}
@@ -496,8 +448,8 @@ func (j *Job) Requests() []RequestResult {
 }
 
 // snapshot renders one request's state; j.mu held.
-func (r *requestRun) snapshot(i int) RequestResult {
-	rr := RequestResult{
+func (r *requestRun) snapshot(i int) wire.RequestStatus {
+	rr := wire.RequestStatus{
 		Index:      i,
 		Tag:        r.spec.Tag,
 		Status:     r.state,
@@ -709,7 +661,7 @@ func (j *Job) finalizeLocked() {
 		QueueTime: j.started.Sub(j.submitted),
 		RunTime:   j.finished.Sub(j.started),
 		StartedAt: j.started, FinishedAt: j.finished,
-		Requests: make([]RequestResult, len(j.reqs)),
+		Requests: make([]wire.RequestStatus, len(j.reqs)),
 	}
 	for i, r := range j.reqs {
 		res.Requests[i] = r.snapshot(i)

@@ -1,16 +1,16 @@
 // Package service is the concurrent eQASM execution engine: the
 // classical host's serving layer of Fig. 1, grown into a job service.
-// Clients submit eQASM source, cQASM circuit text (Format "cqasm",
-// compiled server-side through the pass pipeline) or hardware-
-// independent circuit structures — one program per job (Submit) or N
-// programs as one batch job (SubmitBatch) with per-request histograms
-// and statuses. The service assembles or compiles each program once
-// and caches the result by content hash, and a bounded pool of workers
-// fans every request's shots out as batches over independent QuMA_v2
-// machines, aggregating the measurement outcomes into per-request
-// histograms. Each request splits and derives its seeds independently
-// of its batch position, so results are bit-identical whether a
-// program is submitted alone or inside a batch.
+// Clients submit eQASM source, or cQASM or OpenQASM circuit text
+// (Format "cqasm" or "openqasm", compiled server-side through the pass
+// pipeline) — one program per job (Submit) or N programs as one batch
+// job (SubmitBatch) with per-request histograms and statuses. The
+// service assembles or compiles each program once and caches the
+// result by content hash, and a bounded pool of workers fans every
+// request's shots out as batches over independent QuMA_v2 machines,
+// aggregating the measurement outcomes into per-request histograms.
+// Each request splits and derives its seeds independently of its batch
+// position, so results are bit-identical whether a program is
+// submitted alone or inside a batch.
 //
 // Concurrency model (the shared-mutable-state audit of the stack):
 //
@@ -40,6 +40,7 @@ import (
 	"time"
 
 	"eqasm"
+	"eqasm/internal/wire"
 )
 
 var (
@@ -88,7 +89,7 @@ type Config struct {
 	RetainJobs int
 	// InitWaitCycles idles the chip before a compiled circuit's first
 	// operation (initialisation by relaxation). Default 10000 (200 us),
-	// as in Fig. 3. Source jobs control their own QWAITs.
+	// as in Fig. 3. eQASM source jobs control their own QWAITs.
 	InitWaitCycles int
 	// SOMQ enables single-operation-multiple-qubit combining when
 	// emitting compiled circuits.
@@ -127,7 +128,8 @@ func (c Config) withDefaults() Config {
 // Service is a running execution engine. Create with New, submit with
 // Submit, stop with Shutdown (drain) or Close (cancel).
 type Service struct {
-	cfg Config
+	cfg   Config
+	start time.Time
 	// sim is the shared execution backend: it pools reseedable
 	// machines per instruction-set context, so a batch checkout is
 	// bit-identical to a freshly built machine at the batch seed.
@@ -177,57 +179,9 @@ type metrics struct {
 	planMisses        atomic.Int64
 }
 
-// Stats is a point-in-time snapshot of the service counters.
-type Stats struct {
-	Workers     int `json:"workers"`
-	WorkersBusy int `json:"workers_busy"`
-	QueueDepth  int `json:"queue_depth"`
-	// QueueCapacity is the queue's slot bound (Config.QueueDepth) —
-	// with QueueDepth, the load signal the coordinator's backpressure
-	// spill reads, so capacity pressure is visible before a submit
-	// bounces with ErrQueueFull.
-	QueueCapacity int `json:"queue_capacity"`
-	// InflightShots counts shots currently executing on the workers.
-	InflightShots int64 `json:"inflight_shots"`
-	// Draining reports the service has stopped accepting new work and
-	// is finishing what it admitted (Drain); a routing tier takes this
-	// worker out of rotation without failing its in-flight jobs.
-	Draining      bool  `json:"draining,omitempty"`
-	JobsSubmitted int64 `json:"jobs_submitted"`
-	JobsActive    int64 `json:"jobs_active"`
-	JobsCompleted int64 `json:"jobs_completed"`
-	JobsFailed    int64 `json:"jobs_failed"`
-	JobsCancelled int64 `json:"jobs_cancelled"`
-	JobsRejected  int64 `json:"jobs_rejected"`
-	// RequestsSubmitted counts program requests across all jobs (a
-	// batch of N adds N); BatchJobs counts jobs submitted with more
-	// than one request.
-	RequestsSubmitted int64 `json:"requests_submitted"`
-	BatchJobs         int64 `json:"batch_jobs"`
-	ShotsExecuted     int64 `json:"shots_executed"`
-	// StabilizerShots counts the subset of ShotsExecuted that ran on the
-	// Gottesman–Knill stabilizer-tableau backend (selected explicitly or
-	// by auto-detection of noiseless Clifford-only plans).
-	StabilizerShots int64 `json:"stabilizer_shots"`
-	BatchesRun      int64 `json:"batches_run"`
-	CacheHits       int64 `json:"cache_hits"`
-	CacheMisses     int64 `json:"cache_misses"`
-	CacheEntries    int   `json:"cache_entries"`
-	// PlanCacheHits/Misses count execution-plan reuse: a job whose
-	// program already carried its lowered decode-once plan (built once
-	// per cached program, shared by every batch and pooled machine)
-	// versus one that had to lower it at submit time.
-	PlanCacheHits   int64 `json:"plan_cache_hits"`
-	PlanCacheMisses int64 `json:"plan_cache_misses"`
-	// RunNs is the cumulative wall time workers spent executing batches.
-	RunNs int64 `json:"run_ns"`
-	// GateProfile aggregates executed kernel work across all batches:
-	// for each kernel kind the plan actually executed ("gate1.hadamard",
-	// "gate2.cnot", "measure", ..., and on fused runs the fused.*
-	// kernel kinds plus the fusion.* site counters), the per-shot
-	// application count weighted by the shots that replayed it.
-	GateProfile map[string]int64 `json:"gate_profile,omitempty"`
-}
+// Stats is a point-in-time snapshot of the service counters — the
+// /v1/stats payload, declared once with the Client that reads it.
+type Stats = eqasm.ServiceStats
 
 // New builds and starts a service; the worker pool runs until Shutdown
 // or Close.
@@ -242,6 +196,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s := &Service{
 		cfg:   cfg,
+		start: time.Now(),
 		sim:   sim,
 		cache: NewProgramCache(cfg.CacheSize),
 		queue: newBatchQueue(cfg.QueueDepth),
@@ -273,7 +228,7 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // results are bit-identical to submitting each request on its own (at
 // the same seeds). ctx cancellation propagates to the whole batch.
 func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error) {
-	if err := spec.validate(); err != nil {
+	if err := spec.Validate(); err != nil {
 		s.metrics.jobsRejected.Add(1)
 		return nil, err
 	}
@@ -392,6 +347,31 @@ func (s *Service) Job(id string) (*Job, bool) {
 	return j, ok
 }
 
+// SubmitWire admits a decoded /v1/batches payload (the httpapi.Backend
+// contract): SubmitBatch behind the wire-to-spec conversion.
+func (s *Service) SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.Batch, error) {
+	spec, err := BatchFromWire(req)
+	if err != nil {
+		return nil, err
+	}
+	job, err := s.SubmitBatch(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return job, nil
+}
+
+// Batch is Job behind the httpapi.Backend contract.
+func (s *Service) Batch(id string) (wire.Batch, bool) {
+	if j, ok := s.Job(id); ok {
+		return j, true
+	}
+	return nil, false
+}
+
+// StatsPayload is Stats as the /v1/stats body (httpapi.Backend).
+func (s *Service) StatsPayload() any { return s.Stats() }
+
 // resolve turns a request spec into an assembled program via the
 // content cache. The program's decode-once execution plan is built here
 // too — at submit time, never on the shot hot path — and cached
@@ -399,10 +379,7 @@ func (s *Service) Job(id string) (*Job, bool) {
 // cache-resident program plans exactly once for all jobs and batches
 // that hash to it.
 func (s *Service) resolve(spec RequestSpec) (prog *eqasm.Program, hit bool, d time.Duration, err error) {
-	key, err := spec.CacheKey()
-	if err != nil {
-		return nil, false, 0, err
-	}
+	key := spec.CacheKey()
 	if p, ok := s.cache.Get(key); ok {
 		if err := s.preparePlan(p); err != nil {
 			return nil, false, 0, err
@@ -410,16 +387,7 @@ func (s *Service) resolve(spec RequestSpec) (prog *eqasm.Program, hit bool, d ti
 		return p, true, 0, nil
 	}
 	start := time.Now()
-	switch {
-	case spec.Circuit != nil:
-		prog, err = s.compile(spec.Circuit)
-	case spec.Format == FormatCQASM:
-		prog, err = eqasm.CompileCircuit(spec.Source, s.compileOpts()...)
-	case spec.Format == FormatOpenQASM:
-		prog, err = eqasm.CompileOpenQASM(spec.Source, s.compileOpts()...)
-	default:
-		prog, err = eqasm.Assemble(spec.Source, s.cfg.Machine...)
-	}
+	prog, err = s.cfg.Compile(spec.Source, spec.Format)
 	if err != nil {
 		return nil, false, 0, err
 	}
@@ -445,21 +413,26 @@ func (s *Service) preparePlan(p *eqasm.Program) error {
 	return nil
 }
 
-// compileOpts is the option set for server-side circuit compilation:
-// the machine context plus the service's scheduling policy.
-func (s *Service) compileOpts() []eqasm.Option {
-	opts := append(append([]eqasm.Option{}, s.cfg.Machine...),
-		eqasm.WithInitWaitCycles(s.cfg.InitWaitCycles))
-	if s.cfg.SOMQ {
+// Compile builds the program that source text in format denotes under
+// cfg: eQASM assembles against Machine; cQASM and OpenQASM compile with
+// the InitWaitCycles and SOMQ policy on top. Every tier that turns wire
+// text into a program goes through it — the coordinator with its
+// workers' configuration — so a request routed through the coordinator
+// runs the program a worker would have built from the same text.
+func (cfg Config) Compile(source, format string) (*eqasm.Program, error) {
+	if format != FormatCQASM && format != FormatOpenQASM {
+		return eqasm.Assemble(source, cfg.Machine...)
+	}
+	cfg = cfg.withDefaults()
+	opts := append(append([]eqasm.Option{}, cfg.Machine...),
+		eqasm.WithInitWaitCycles(cfg.InitWaitCycles))
+	if cfg.SOMQ {
 		opts = append(opts, eqasm.WithSOMQ())
 	}
-	return opts
-}
-
-// compile schedules a hardware-independent circuit and emits executable
-// eQASM for the service's chip.
-func (s *Service) compile(c *eqasm.Circuit) (*eqasm.Program, error) {
-	return eqasm.Compile(c, s.compileOpts()...)
+	if format == FormatCQASM {
+		return eqasm.CompileCircuit(source, opts...)
+	}
+	return eqasm.CompileOpenQASM(source, opts...)
 }
 
 // Stats snapshots the counters.
@@ -508,6 +481,7 @@ func (s *Service) Stats() Stats {
 		PlanCacheMisses:   s.metrics.planMisses.Load(),
 		RunNs:             s.metrics.runNs.Load(),
 		GateProfile:       profile,
+		UptimeSeconds:     time.Since(s.start).Seconds(),
 	}
 }
 

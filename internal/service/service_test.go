@@ -316,21 +316,14 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-// Circuits compile through the scheduler/emitter path and share the
-// cache like source jobs.
+// Circuit text compiles through the scheduler/emitter path and shares
+// the cache like source jobs.
 func TestCircuitJob(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 2, Machine: []eqasm.Option{eqasm.WithSeed(8)}})
-	bell := &eqasm.Circuit{
-		Name:      "bell",
-		NumQubits: 3, // the two-qubit chip names its qubits 0 and 2
-		Gates: []eqasm.Gate{
-			{Name: "H", Qubits: []int{0}},
-			{Name: "CNOT", Qubits: []int{0, 2}},
-			{Name: "MEASZ", Qubits: []int{0}, Measure: true},
-			{Name: "MEASZ", Qubits: []int{2}, Measure: true},
-		},
-	}
-	res, err := svc.Run(context.Background(), service.JobSpec{Circuit: bell, Shots: 120})
+	// The two-qubit chip names its qubits 0 and 2.
+	const bell = "version 1.0\nqubits 3\nh q[0]\ncnot q[0], q[2]\nmeasure q[0]\nmeasure q[2]\n"
+	spec := service.JobSpec{Source: bell, Format: service.FormatCQASM, Shots: 120}
+	res, err := svc.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -344,7 +337,8 @@ func TestCircuitJob(t *testing.T) {
 	if total != 120 {
 		t.Fatalf("histogram sums to %d", total)
 	}
-	res, err = svc.Run(context.Background(), service.JobSpec{Circuit: bell, Shots: 10})
+	spec.Shots = 10
+	res, err = svc.Run(context.Background(), spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -380,11 +374,11 @@ func TestRuntimeFailure(t *testing.T) {
 func TestSubmitValidation(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 1})
 	cases := []service.JobSpec{
-		{}, // neither source nor circuit
-		{Source: "STOP", Circuit: &eqasm.Circuit{NumQubits: 1}}, // both
-		{Source: "STOP", Shots: -1},                             // negative shots
-		{Source: "STOP", Shots: service.MaxJobShots + 1},        // over the per-job cap
-		{Source: "THISISNOTANOP S0\n"},                          // assembly error
+		{},                               // no source
+		{Source: "STOP", Format: "quil"}, // unknown format
+		{Source: "STOP", Shots: -1},      // negative shots
+		{Source: "STOP", Shots: service.MaxJobShots + 1}, // over the per-job cap
+		{Source: "THISISNOTANOP S0\n"},                   // assembly error
 	}
 	for i, spec := range cases {
 		if _, err := svc.Submit(context.Background(), spec); err == nil {

@@ -19,6 +19,7 @@ import (
 	"eqasm"
 	"eqasm/internal/httpapi"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 // conformancePairs are the golden cross-front-end fixtures: the same
@@ -141,39 +142,33 @@ func TestOpenQASMJobViaHTTPService(t *testing.T) {
 	defer ts.Close()
 
 	const shots = 200
-	submit := func(body map[string]any) map[string]int {
+	// A single job is a one-request batch.
+	submit := func(req map[string]any) map[string]int {
 		t.Helper()
-		payload, err := json.Marshal(body)
+		payload, err := json.Marshal(map[string]any{"requests": []map[string]any{req}, "wait": true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", bytes.NewReader(payload))
+		resp, err := http.Post(ts.URL+"/v1/batches", "application/json", bytes.NewReader(payload))
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer resp.Body.Close()
-		var jr struct {
-			Status string `json:"status"`
-			Error  string `json:"error"`
-			Result *struct {
-				Shots     int            `json:"shots"`
-				Histogram map[string]int `json:"histogram"`
-			} `json:"result"`
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&jr); err != nil {
+		var br wire.BatchStatus
+		if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
 			t.Fatal(err)
 		}
-		if resp.StatusCode != http.StatusOK || jr.Status != "completed" || jr.Result == nil {
-			t.Fatalf("job failed: HTTP %d status=%q error=%q", resp.StatusCode, jr.Status, jr.Error)
+		if resp.StatusCode != http.StatusOK || br.Status != wire.StateCompleted || len(br.Requests) != 1 {
+			t.Fatalf("job failed: HTTP %d status=%q error=%q", resp.StatusCode, br.Status, br.Error)
 		}
-		return jr.Result.Histogram
+		return br.Requests[0].Histogram
 	}
 
 	got := submit(map[string]any{
-		"source": oq, "format": "openqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": oq, "format": "openqasm", "shots": shots, "seed": 23,
 	})
 	want := submit(map[string]any{
-		"source": cq, "format": "cqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": cq, "format": "cqasm", "shots": shots, "seed": 23,
 	})
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("openqasm job histogram %v != cqasm twin histogram %v", got, want)
@@ -189,7 +184,7 @@ func TestOpenQASMJobViaHTTPService(t *testing.T) {
 	}
 	before := svc.Stats().CacheHits
 	submit(map[string]any{
-		"source": oq, "format": "openqasm", "shots": shots, "seed": 23, "wait": true,
+		"source": oq, "format": "openqasm", "shots": shots, "seed": 23,
 	})
 	if after := svc.Stats().CacheHits; after != before+1 {
 		t.Fatalf("cache hits %d -> %d; openqasm resubmission did not hit the program cache", before, after)
@@ -197,8 +192,8 @@ func TestOpenQASMJobViaHTTPService(t *testing.T) {
 
 	// OpenQASM parse faults surface as positioned diagnostics over the
 	// wire.
-	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json",
-		bytes.NewReader([]byte(`{"source": "OPENQASM 2.0;\nqreg q[1];\nwobble q[0];", "format": "openqasm"}`)))
+	resp, err := http.Post(ts.URL+"/v1/batches", "application/json",
+		bytes.NewReader([]byte(`{"requests": [{"source": "OPENQASM 2.0;\nqreg q[1];\nwobble q[0];", "format": "openqasm"}]}`)))
 	if err != nil {
 		t.Fatal(err)
 	}

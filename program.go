@@ -110,12 +110,19 @@ func disassembleWith(st stack, words []uint32) (string, error) {
 	return d.Disassemble(words)
 }
 
-// renderSource renders the program as assembler-parseable source
-// directly from the in-memory instruction list, without a round trip
-// through the binary encoding — the only rendering available to
-// parametric programs, whose symbolic-angle operations have no 32-bit
-// encoding.
-func (p *Program) renderSource() (string, error) {
+// WireSource renders the program as the eQASM text the service wire
+// carries: the original source when the program has one, otherwise the
+// round-trip-stable disassembly. Parametric programs have no 32-bit
+// encoding to disassemble from, so they render straight from the
+// instruction list instead, %name angle operands included; assembling
+// the text under the same options yields the same program.
+func (p *Program) WireSource() (string, error) {
+	if p.source != "" {
+		return p.source, nil
+	}
+	if s, err := p.Disassemble(); err == nil {
+		return s, nil
+	}
 	d := asm.NewDisassembler(p.st.opCfg, p.st.topo)
 	d.Inst = p.st.inst
 	return d.RenderProgram(p.prog)
