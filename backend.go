@@ -3,8 +3,7 @@ package eqasm
 import (
 	"context"
 	"fmt"
-	"sort"
-	"strings"
+	"slices"
 	"sync"
 	"time"
 
@@ -314,16 +313,6 @@ func (s *Simulator) plan(opts RunOptions) (pl runPlan, err error) {
 	return pl, nil
 }
 
-// lastResults maps each measured qubit to its last result.
-func lastResults(m *microarch.Machine) map[int]int {
-	recs := m.Measurements()
-	last := make(map[int]int, len(recs))
-	for _, r := range recs {
-		last[r.Qubit] = r.Result
-	}
-	return last
-}
-
 // renderTrace renders the machine's device-operation trace, nil when
 // tracing is off.
 func renderTrace(m *microarch.Machine) []string {
@@ -338,8 +327,9 @@ func renderTrace(m *microarch.Machine) []string {
 	return out
 }
 
-// shotOutcome renders one completed shot's machine state.
-func shotOutcome(shot int, m *microarch.Machine) ShotResult {
+// shotOutcome renders one completed shot's machine state; key is the
+// shot's histogram key.
+func shotOutcome(shot int, m *microarch.Machine, key []byte) ShotResult {
 	recs := m.Measurements()
 	sr := ShotResult{Shot: shot, Stats: execStats(m), Trace: renderTrace(m)}
 	if len(recs) > 0 {
@@ -347,35 +337,65 @@ func shotOutcome(shot int, m *microarch.Machine) ShotResult {
 		for i, r := range recs {
 			sr.Measurements[i] = Measurement{Qubit: r.Qubit, Result: r.Result}
 		}
-		sr.Key = histKey(lastResults(m))
+		sr.Key = string(key)
 	}
 	return sr
 }
 
-// histKey renders the last result per qubit, qubits ascending.
-func histKey(last map[int]int) string {
-	qubits := sortedQubits(last)
-	var b strings.Builder
-	for _, q := range qubits {
-		if last[q] == 0 {
-			b.WriteByte('0')
-		} else {
-			b.WriteByte('1')
-		}
-	}
-	return b.String()
+// histogram counts shots per histogram key: the last result per
+// measured qubit, qubits ascending. It reuses its buffers across shots,
+// so a shot whose key was seen before costs no allocation.
+type histogram struct {
+	// last holds each qubit's last result during key; -1 = unmeasured.
+	last   []int8
+	qubits []int
+	buf    []byte
+	counts map[string]*int
 }
 
-func sortedQubits(last map[int]int) []int {
-	if len(last) == 0 {
-		return nil
+// key renders recs' histogram key into the reused buffer and leaves
+// the shot's measured qubits, ascending, in h.qubits.
+func (h *histogram) key(recs []microarch.MeasurementRecord) []byte {
+	h.qubits = h.qubits[:0]
+	for _, r := range recs {
+		for r.Qubit >= len(h.last) {
+			h.last = append(h.last, -1)
+		}
+		if h.last[r.Qubit] < 0 {
+			h.qubits = append(h.qubits, r.Qubit)
+		}
+		h.last[r.Qubit] = 0
+		if r.Result != 0 {
+			h.last[r.Qubit] = 1
+		}
 	}
-	qubits := make([]int, 0, len(last))
-	for q := range last {
-		qubits = append(qubits, q)
+	slices.Sort(h.qubits)
+	h.buf = h.buf[:0]
+	for _, q := range h.qubits {
+		h.buf = append(h.buf, '0'+byte(h.last[q]))
+		h.last[q] = -1
 	}
-	sort.Ints(qubits)
-	return qubits
+	return h.buf
+}
+
+// add counts one shot under key.
+func (h *histogram) add(key []byte) {
+	if n := h.counts[string(key)]; n != nil {
+		*n++
+		return
+	}
+	if h.counts == nil {
+		h.counts = map[string]*int{}
+	}
+	n := 1
+	h.counts[string(key)] = &n
+}
+
+// fill writes the counts into out.
+func (h *histogram) fill(out map[string]int) {
+	for k, n := range h.counts {
+		out[k] = *n
+	}
 }
 
 // fanShots runs p's shots through the machine pool of its context and
@@ -510,6 +530,7 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 		res.GateProfile = ex.GateProfile()
 	}
 	profiled := false
+	var hist histogram
 	start := time.Now()
 	err = s.fanShots(ctx, p, binding, kind, pl.noFusion, pl.seed, pl.shots, pl.workers,
 		func(shot int, m *microarch.Machine, runErr error) error {
@@ -528,10 +549,10 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 			}
 			st := execStats(m)
 			res.Shots++
-			last := lastResults(m)
-			res.Histogram[histKey(last)]++
-			if res.Qubits == nil {
-				res.Qubits = sortedQubits(last)
+			key := hist.key(m.Measurements())
+			hist.add(key)
+			if res.Qubits == nil && len(hist.qubits) > 0 {
+				res.Qubits = slices.Clone(hist.qubits)
 			}
 			res.Stats = st
 			res.TotalStats.Add(st)
@@ -539,13 +560,14 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 				res.Trace = renderTrace(m)
 			}
 			if j.streaming.Load() {
-				sr := shotOutcome(shot, m)
+				sr := shotOutcome(shot, m, key)
 				sr.Request = req
 				return j.emit(ctx, sr)
 			}
 			return nil
 		})
 	res.Duration = time.Since(start)
+	hist.fill(res.Histogram)
 	return res, err
 }
 

@@ -161,6 +161,16 @@
 // once) and is bit-identical at a fixed seed to the interpreter it
 // replaced.
 //
+// A plan with no FMR and no fast-conditional operation is shot
+// invariant: no measured bit can change what runs or when, so every
+// shot from power-on runs the same timing-queue schedule and only the
+// chip's random draws differ. A machine runs such a plan's first shot
+// after a load in full, recording the ordered chip calls, and replays
+// them on every later shot in the same order — results, stats, traces
+// and noisy trajectories stay bit-identical, and a fault surfaces on
+// the recorded shot. Programs with feedback run the full machine on
+// every shot.
+//
 // Plan building also runs gate fusion over the lowered stream (default
 // on; WithFusion and RunOptions.Fusion switch it): runs of adjacent
 // single-qubit gates on one qubit coalesce into one precomposed 2×2

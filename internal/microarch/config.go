@@ -12,6 +12,16 @@
 // (100 MHz), the timing controller and fast-conditional unit on the
 // 20 ns quantum cycle grid (50 MHz), matching the Section 4.4
 // implementation.
+//
+// Replay rule: a run of a shot-invariant plan (no FMR, no conditionally
+// executed operation; plan.Executable.ShotInvariant) that starts from
+// Reset is recorded the first time after a load — ordered backend
+// calls, measurement template, stats, device trace and final
+// architectural state — and replayed afterwards: the backend receives
+// the recorded calls in order, so its random stream advances exactly as
+// under the full machine, and the machine ends in the recorded state
+// with this shot's measured bits. Loading a plan, SetGPR and WriteWord
+// discard the recording; any other run uses the full machine.
 package microarch
 
 import (

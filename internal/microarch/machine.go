@@ -113,6 +113,19 @@ type Machine struct {
 	trace   []DeviceOp
 	measRec []MeasurementRecord
 	err     error
+	// shotMeasures counts the run's measurement calls (the ordinal a
+	// pending result carries into the shot recording).
+	shotMeasures int32
+
+	// Shot replay (replay.go). fresh: nothing has touched the machine
+	// since Reset, so the next run starts from power-on state. rec is
+	// the loaded plan's recorded shot; recording is set while the
+	// running shot is being recorded. noReplay forces the full machine
+	// on every shot (tests compare the two paths).
+	fresh     bool
+	recording bool
+	rec       shotRecording
+	noReplay  bool
 }
 
 // New builds a machine. Topo and OpConfig are mandatory.
@@ -242,6 +255,7 @@ func (m *Machine) loadPlan(ex *plan.Executable, b *plan.Binding) error {
 		return fmt.Errorf("microarch: plan has unbound parameters (%v); bind them and use LoadBoundPlan",
 			ex.ParamNames())
 	}
+	m.hostWrite()
 	m.program = ex.Program().Instrs
 	m.exec = ex
 	m.binding = b
@@ -300,6 +314,7 @@ func (m *Machine) resetExecState() {
 	m.trace = m.trace[:0]
 	m.measRec = m.measRec[:0]
 	m.err = nil
+	m.shotMeasures = 0
 	for i := range m.measCounters {
 		m.measCounters[i] = 0
 		m.qResults[i] = 0
@@ -365,14 +380,41 @@ func (m *Machine) Reset() {
 	}
 	m.backend.Reset()
 	m.cmpFlags = 0
+	m.fresh = true
 }
 
 // Run executes the loaded program until STOP (draining in-flight quantum
 // activity), a microarchitectural fault, or the watchdog limit.
-func (m *Machine) Run() (runErr error) {
+//
+// A shot-invariant plan (plan.Executable.ShotInvariant) run from Reset
+// is recorded the first time and replayed afterwards: the chip receives
+// the recorded calls in order and the machine ends in the recorded
+// state with this shot's measured bits, exactly as if the whole machine
+// had run (see replay.go).
+func (m *Machine) Run() error {
 	if m.program == nil {
 		return fmt.Errorf("microarch: no program loaded")
 	}
+	fresh := m.fresh
+	m.fresh = false
+	if !fresh || m.noReplay || m.rec.tooLong || !m.exec.ShotInvariant() {
+		return m.run()
+	}
+	if m.rec.valid {
+		m.replay()
+		return nil
+	}
+	m.startRecording()
+	defer func() { m.recording = false }()
+	if err := m.run(); err != nil || !m.recording {
+		return err
+	}
+	m.saveRecording()
+	return nil
+}
+
+// run steps the full machine until STOP, a fault or the watchdog.
+func (m *Machine) run() (runErr error) {
 	// The stabilizer backend refuses non-Clifford unitaries by panicking
 	// with a typed error; surface that as an ordinary machine fault so a
 	// forced (or mis-detected) backend choice fails cleanly mid-shot.
@@ -488,7 +530,10 @@ func (m *Machine) fastForward() {
 func (m *Machine) GPR(i int) uint32 { return m.gpr[i] }
 
 // SetGPR writes general purpose register i (host upload of parameters).
-func (m *Machine) SetGPR(i int, v uint32) { m.gpr[i] = v }
+func (m *Machine) SetGPR(i int, v uint32) {
+	m.hostWrite()
+	m.gpr[i] = v
+}
 
 // SReg returns the single-qubit target register mask.
 func (m *Machine) SReg(i int) uint64 { return m.sRegs[i] }
@@ -519,9 +564,18 @@ func (m *Machine) WriteWord(addr int, v uint32) error {
 	if addr < 0 || addr+4 > len(m.mem) {
 		return fmt.Errorf("microarch: data address %d out of range", addr)
 	}
+	m.hostWrite()
 	m.markMemWritten(addr + 4)
 	binary.LittleEndian.PutUint32(m.mem[addr:], v)
 	return nil
+}
+
+// hostWrite notes a host upload — a plan, a register or a data word:
+// the next run no longer starts from power-on, and the shot recording
+// is discarded.
+func (m *Machine) hostWrite() {
+	m.fresh = false
+	m.rec.discard()
 }
 
 // markMemWritten records a data-memory write reaching byte offset hi.

@@ -118,8 +118,11 @@ type pendingResult struct {
 	qiTick    int64 // Qi write-back / Ci decrement (CFC path)
 	resultNs  int64 // when the result entered the controller
 	triggerNs int64
-	flagDone  bool
-	qiDone    bool
+	// src is the shot's measurement-call ordinal that produced bit (the
+	// shot recording's link from a record to its replayed bit).
+	src      int32
+	flagDone bool
+	qiDone   bool
 }
 
 // triggerCycle runs the timing controller for one quantum cycle: every
@@ -158,31 +161,25 @@ func (m *Machine) dispatch(e *gateEvent) {
 			return
 		}
 		m.idleUpTo(qubit, tNs)
-		if e.fuse != nil {
+		// Parametric sites resolve their kernel through the loaded
+		// binding's patch table; everything else was classified at
+		// plan-build time. The spec's matrix feeds the generic path
+		// too: a parametric def's Unitary1 is a placeholder.
+		sp := &e.op.Spec1
+		switch {
+		case e.fuse != nil:
 			// Fused site: an anchor applies the whole run's precomposed
 			// kernel; an elided constituent applies nothing (its unitary
 			// is folded into the run's anchor).
-			if !e.fuse.Skip {
-				if m.specBE != nil {
-					m.specBE.Apply1Spec(e.fuse.Spec1, qubit, durNs)
-				} else {
-					m.backend.Apply1(e.fuse.Spec1.U, qubit, durNs)
-				}
+			sp = &e.fuse.Spec1
+			if e.fuse.Skip {
+				sp = nil
 			}
-		} else {
-			// Parametric sites resolve their kernel through the loaded
-			// binding's patch table; everything else was classified at
-			// plan-build time. The spec's matrix feeds the generic path
-			// too: a parametric def's Unitary1 is a placeholder.
-			sp := e.op.Spec1
-			if e.op.Param != nil {
-				sp = m.binding.Spec(e.op.Param.Slot)
-			}
-			if m.specBE != nil {
-				m.specBE.Apply1Spec(sp, qubit, durNs)
-			} else {
-				m.backend.Apply1(sp.U, qubit, durNs)
-			}
+		case e.op.Param != nil:
+			sp = m.binding.Spec(e.op.Param.Slot)
+		}
+		if sp != nil {
+			m.chip(chipCall{kind: callApply1, q: e.qubit, dur: durNs, sp1: sp})
 		}
 		m.qubitLocalNs[qubit] = float64(tNs) + durNs
 		m.record(DeviceOp{TimeNs: outNs, Cycle: e.cycle, Channel: mo.Channel,
@@ -193,22 +190,18 @@ func (m *Machine) dispatch(e *gateEvent) {
 		}
 		m.idleUpTo(qubit, tNs)
 		m.idleUpTo(tgt, tNs)
-		if e.fuse != nil {
+		c := chipCall{kind: callApply2, q: e.qubit, t: e.tgt, dur: durNs, sp2: e.op.Spec2}
+		switch {
+		case e.fuse != nil:
 			// Fused pair site: never the CZ shortcut — the precomposed
-			// product is whatever the run multiplied out to.
-			if !e.fuse.Skip {
-				if m.specBE != nil {
-					m.specBE.Apply2Spec(e.fuse.Spec2, qubit, tgt, durNs)
-				} else {
-					m.backend.Apply2(e.fuse.Spec2.U, qubit, tgt, durNs)
-				}
-			}
-		} else if m.specBE != nil {
-			m.specBE.Apply2Spec(e.op.Spec2, qubit, tgt, durNs)
-		} else if def.Unitary2 == quantum.CZ {
-			m.backend.ApplyCZ(qubit, tgt, durNs)
-		} else {
-			m.backend.Apply2(def.Unitary2, qubit, tgt, durNs)
+			// product is whatever the run multiplied out to. An elided
+			// constituent carries no kernel.
+			c.sp2 = e.fuse.Spec2
+		case m.specBE == nil && def.Unitary2 == quantum.CZ:
+			c.kind = callCZ
+		}
+		if c.sp2 != nil {
+			m.chip(c)
 		}
 		m.qubitLocalNs[qubit] = float64(tNs) + durNs
 		m.qubitLocalNs[tgt] = float64(tNs) + durNs
@@ -227,12 +220,10 @@ func (m *Machine) dispatch(e *gateEvent) {
 		m.measIssued[qubit]++
 		var bit int
 		if m.cfg.MockMeasure != nil {
-			// Mock discrimination (paper: UHFQC programmed to generate
-			// mock results, no qubits attached).
-			bit = m.cfg.MockMeasure(qubit, idx) & 1
+			bit = m.chip(chipCall{kind: callMock, q: e.qubit, t: int32(idx)})
 		} else {
 			m.idleUpTo(qubit, tNs)
-			bit = m.backend.Measure(qubit, durNs)
+			bit = m.chip(chipCall{kind: callMeasure, q: e.qubit, dur: durNs})
 			m.qubitLocalNs[qubit] = float64(tNs) + durNs
 		}
 		resultTick := (e.cycle + int64(def.DurationCycles)) * int64(m.cfg.CycleTicks)
@@ -244,7 +235,9 @@ func (m *Machine) dispatch(e *gateEvent) {
 			qiTick:    resultTick + int64(m.cfg.ResultToQiTicks),
 			resultNs:  resultNs,
 			triggerNs: tNs,
+			src:       m.shotMeasures,
 		}
+		m.shotMeasures++
 		if r.flagTick < m.nextResultTick {
 			m.nextResultTick = r.flagTick
 		}
@@ -287,6 +280,9 @@ func (m *Machine) deliverResults() {
 				Qubit: r.qubit, Result: r.bit,
 				TriggerNs: r.triggerNs, ResultNs: r.resultNs,
 			})
+			if m.recording {
+				m.rec.measSrc = append(m.rec.measSrc, r.src)
+			}
 		}
 		if !r.flagDone || !r.qiDone {
 			if !r.flagDone && r.flagTick < next {
@@ -334,7 +330,7 @@ func (m *Machine) execFlag(q int, sel isa.ExecFlagSel) bool {
 // idleUpTo exposes qubit q to decoherence up to absolute time tNs.
 func (m *Machine) idleUpTo(q int, tNs int64) {
 	if gap := float64(tNs) - m.qubitLocalNs[q]; gap > 0 {
-		m.backend.Idle(q, gap)
+		m.chip(chipCall{kind: callIdle, q: int32(q), dur: gap})
 		m.qubitLocalNs[q] = float64(tNs)
 	}
 }

@@ -58,9 +58,10 @@ type FusedKernel struct {
 	// Two selects the 4×4 kernel: the anchor of a pair run (a run that
 	// absorbed a two-qubit gate). False for a single-qubit run anchor.
 	Two bool
-	// Spec1/Spec2 are the re-classified fused products (anchor only).
+	// Spec1/Spec2 are the re-classified fused products (anchor only;
+	// Spec2 is nil on single-qubit anchors).
 	Spec1 quantum.Gate1Spec
-	Spec2 quantum.Gate2Spec
+	Spec2 *quantum.Gate2Spec
 	// Sites lists every constituent folded into this kernel, in
 	// program order (anchor only).
 	Sites []FusedSite
@@ -382,7 +383,8 @@ func (f *fuser) flush(g *fuseGroup) {
 	}
 	fk := &FusedKernel{Two: g.pair}
 	if g.pair {
-		fk.Spec2 = quantum.ClassifyGate2(g.u4)
+		sp := quantum.ClassifyGate2(g.u4)
+		fk.Spec2 = &sp
 		f.profile["fused."+gate2KindName(fk.Spec2.Kind)]++
 	} else {
 		fk.Spec1 = quantum.ClassifyGate1(g.u2)

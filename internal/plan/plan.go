@@ -110,12 +110,16 @@ type BundleOp struct {
 	DurNs float64
 	// DurCycles is the pulse duration in quantum cycles.
 	DurCycles int64
-	// Spec1/Spec2 are the kernel classifications of the unitary. For a
-	// parametric site with a literal angle, Spec1 is the classified
-	// rotation matrix (the OpDef's Unitary1 is advisory only); for a
-	// symbolic site Spec1 is zero and Param locates the bound kernel.
+	// Spec1/Spec2 are the kernel classifications of the unitary, with
+	// the Clifford conjugation table resolved for Clifford unitaries.
+	// For a parametric site with a literal angle, Spec1 is the
+	// classified rotation matrix (the OpDef's Unitary1 is advisory
+	// only); for a symbolic site Spec1 is zero and Param locates the
+	// bound kernel. Spec2 (two-qubit sites only, nil otherwise) is
+	// shared by every site of one operation: a plan holds many sites
+	// and the spec is several hundred bytes.
 	Spec1 quantum.Gate1Spec
-	Spec2 quantum.Gate2Spec
+	Spec2 *quantum.Gate2Spec
 	// Param is non-nil for a symbolic parametric site: the angle is
 	// resolved through a Binding's patch table, not baked into the plan.
 	Param *ParamRef
@@ -170,7 +174,10 @@ type Executable struct {
 	// cliffordStatic is the Clifford-ness of the non-symbolic sites
 	// alone; a Binding combines it with the bound angles per point.
 	cliffordStatic bool
-	profile        map[string]int
+	// shotInvariant: no FMR and no conditionally executed operation,
+	// so no measurement result can reach the schedule.
+	shotInvariant bool
+	profile       map[string]int
 
 	// fusedKernels counts the fused runs the fusion pass materialized;
 	// fusedProfile is the per-application execution profile under
@@ -215,6 +222,16 @@ func (e *Executable) Len() int { return len(e.instrs) }
 // operations, missing microcode) count as non-Clifford so the selection
 // stays conservative.
 func (e *Executable) CliffordOnly() bool { return e.cliffordOnly }
+
+// ShotInvariant reports whether every shot of the plan runs the same
+// schedule: the program has no FMR (comprehensive feedback reads
+// measurement results only through it) and no operation whose
+// micro-operations select an execution flag other than FlagAlways (fast
+// conditional execution). Measured bits then cannot change what runs or
+// when; only the chip's random draws differ from shot to shot, so the
+// machine may replay a recorded shot's chip calls instead of
+// re-simulating the timeline.
+func (e *Executable) ShotInvariant() bool { return e.shotInvariant }
 
 // Parametric reports whether the plan has symbolic rotation sites that
 // need a Binding before it can execute. Parametric plans always report
@@ -265,8 +282,8 @@ func (e *Executable) Bind(params map[string]float64) (*Binding, error) {
 		b.specs = make([]quantum.Gate1Spec, len(e.slots))
 		for i, s := range e.slots {
 			u := quantum.Rotation(s.axis, params[s.name])
-			b.specs[i] = quantum.ClassifyGate1(u)
-			if b.cliff && !quantum.IsClifford1(u) {
+			b.specs[i] = classify1(u)
+			if b.specs[i].Cliff == nil {
 				b.cliff = false
 			}
 		}
@@ -293,8 +310,8 @@ func nameList(names []string) string {
 // Plan returns the shared executable the binding patches.
 func (b *Binding) Plan() *Executable { return b.ex }
 
-// Spec returns the bound kernel of one patch-table slot.
-func (b *Binding) Spec(slot int) quantum.Gate1Spec { return b.specs[slot] }
+// Spec returns the bound kernel of one patch-table slot (read-only).
+func (b *Binding) Spec(slot int) *quantum.Gate1Spec { return &b.specs[slot] }
 
 // CliffordOnly reports whether the plan under this specific binding is
 // Clifford throughout: the static sites are Clifford and every bound
@@ -416,6 +433,8 @@ func Build(prog *isa.Program, topo *topology.Topology, opCfg *isa.OpConfig) (*Ex
 		opCfg:   opCfg,
 		cstore:  InternControlStore(opCfg),
 		targets: map[targetKey]*TargetSet{},
+		spec1:   map[*isa.OpDef]quantum.Gate1Spec{},
+		spec2:   map[*isa.OpDef]*quantum.Gate2Spec{},
 		slotIdx: map[paramSlot]int{},
 		cliff:   true,
 		profile: map[string]int{},
@@ -431,6 +450,7 @@ func Build(prog *isa.Program, topo *topology.Topology, opCfg *isa.OpConfig) (*Ex
 	}
 	ex.cliffordStatic = b.cliff
 	ex.cliffordOnly = b.cliff && len(b.slots) == 0
+	ex.shotInvariant = shotInvariant(ex.instrs)
 	ex.profile = b.profile
 	ex.slots = b.slots
 	if len(b.slots) > 0 {
@@ -447,6 +467,26 @@ func Build(prog *isa.Program, topo *topology.Topology, opCfg *isa.OpConfig) (*Ex
 	return ex, nil
 }
 
+// shotInvariant implements Executable.ShotInvariant over the lowered
+// instructions.
+func shotInvariant(instrs []Instr) bool {
+	for i := range instrs {
+		switch ins := &instrs[i]; ins.Op {
+		case isa.OpFMR:
+			return false
+		case isa.OpBundle:
+			for _, op := range ins.Bundle.Ops {
+				for _, mo := range op.Micro {
+					if mo.CondSel != isa.FlagAlways {
+						return false
+					}
+				}
+			}
+		}
+	}
+	return true
+}
+
 type targetKey struct {
 	mask uint64
 	pair bool
@@ -459,6 +499,11 @@ type builder struct {
 	// targets dedupes expanded masks: programs re-install the same
 	// few masks from many sites (and loops re-execute one site).
 	targets map[targetKey]*TargetSet
+	// spec1/spec2 memoize the kernel spec of each non-parametric
+	// operation, so its sites share one classification and Clifford
+	// table (and, for two-qubit sites, one spec allocation).
+	spec1 map[*isa.OpDef]quantum.Gate1Spec
+	spec2 map[*isa.OpDef]*quantum.Gate2Spec
 	// slots/slotIdx accumulate the patch-table layout for symbolic
 	// parametric sites.
 	slots   []paramSlot
@@ -670,9 +715,16 @@ func (b *builder) lowerOp(q isa.QOp) BundleOp {
 	switch def.Kind {
 	case isa.OpKindTwo:
 		op.Kind = KindGate2
-		op.Spec2 = quantum.ClassifyGate2(def.Unitary2)
-		b.profile[gate2KindName(op.Spec2.Kind)]++
-		if !quantum.IsClifford2(def.Unitary2) {
+		sp, ok := b.spec2[def]
+		if !ok {
+			c := quantum.ClassifyGate2(def.Unitary2)
+			c.Cliff, _ = quantum.CliffordImage2(def.Unitary2)
+			sp = &c
+			b.spec2[def] = sp
+		}
+		op.Spec2 = sp
+		b.profile[gate2KindName(sp.Kind)]++
+		if sp.Cliff == nil {
 			b.cliff = false
 		}
 	case isa.OpKindMeasure:
@@ -696,19 +748,29 @@ func (b *builder) lowerOp(q isa.QOp) BundleOp {
 		case def.Parametric:
 			// Literal angle: bake the rotation into the site's kernel
 			// (the def's Unitary1 is an advisory placeholder).
-			u := quantum.Rotation(def.Axis, q.Angle)
-			op.Spec1 = quantum.ClassifyGate1(u)
-			b.profile[gate1KindName(op.Spec1.Kind)]++
-			if !quantum.IsClifford1(u) {
-				b.cliff = false
-			}
+			op.Spec1 = classify1(quantum.Rotation(def.Axis, q.Angle))
 		default:
-			op.Spec1 = quantum.ClassifyGate1(def.Unitary1)
+			sp, ok := b.spec1[def]
+			if !ok {
+				sp = classify1(def.Unitary1)
+				b.spec1[def] = sp
+			}
+			op.Spec1 = sp
+		}
+		if op.Param == nil {
 			b.profile[gate1KindName(op.Spec1.Kind)]++
-			if !quantum.IsClifford1(def.Unitary1) {
+			if op.Spec1.Cliff == nil {
 				b.cliff = false
 			}
 		}
 	}
 	return op
+}
+
+// classify1 is the kernel spec of a single-qubit site: the structural
+// classification plus the Clifford table when u is Clifford.
+func classify1(u quantum.Matrix2) quantum.Gate1Spec {
+	sp := quantum.ClassifyGate1(u)
+	sp.Cliff, _ = quantum.CliffordImage1(u)
+	return sp
 }

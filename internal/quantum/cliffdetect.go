@@ -19,8 +19,13 @@ import (
 // hermitian, so signs are +-1 — and independent of the unitary's global
 // phase. Recognition is numeric with a tight tolerance (the configured
 // gate set stores rotations computed through math.Cos/Sin, so entries
-// like cos(pi/2) are only zero to ~1e-16) and memoized per distinct
-// matrix value.
+// like cos(pi/2) are only zero to ~1e-16). The execution-plan layer
+// resolves each site's table once, at build or bind time, and carries
+// it on the site's kernel spec, so recognition stays off the shot path.
+// Two-qubit tables are memoized per distinct matrix value (they are
+// costly to build, and two-qubit unitaries come from the configured gate
+// set); single-qubit tables are cheap and rebuilt on demand, so sweeps
+// over fresh rotation angles do not grow a process-wide cache.
 
 // cliffTol bounds the per-entry deviation accepted when matching a
 // conjugated generator against a signed Pauli. Gate unitaries come from
@@ -69,21 +74,14 @@ type Cliff2 struct {
 	Img [16]PauliImage2
 }
 
-var (
-	cliff1Cache sync.Map // Matrix2 -> *Cliff1 (nil entry = not Clifford)
-	cliff2Cache sync.Map // Matrix4 -> *Cliff2 (nil entry = not Clifford)
-)
+var cliff2Cache sync.Map // Matrix4 -> *Cliff2 (nil entry = not Clifford)
 
 // CliffordImage1 resolves a single-qubit unitary to its Clifford
 // conjugation table, reporting false when the unitary is not a Clifford
-// operation. Results are memoized per matrix value.
+// operation. Each call builds a fresh table (see the memoization note
+// above).
 func CliffordImage1(u Matrix2) (*Cliff1, bool) {
-	if v, ok := cliff1Cache.Load(u); ok {
-		c, _ := v.(*Cliff1)
-		return c, c != nil
-	}
 	c := buildCliff1(u)
-	cliff1Cache.Store(u, c)
 	return c, c != nil
 }
 
@@ -98,20 +96,6 @@ func CliffordImage2(u Matrix4) (*Cliff2, bool) {
 	c := buildCliff2(u)
 	cliff2Cache.Store(u, c)
 	return c, c != nil
-}
-
-// IsClifford1 reports whether a single-qubit unitary is a Clifford
-// operation (up to global phase).
-func IsClifford1(u Matrix2) bool {
-	_, ok := CliffordImage1(u)
-	return ok
-}
-
-// IsClifford2 reports whether a two-qubit unitary is a Clifford operation
-// (up to global phase).
-func IsClifford2(u Matrix4) bool {
-	_, ok := CliffordImage2(u)
-	return ok
 }
 
 // pauliProd is a Pauli in i^p * X^x Z^z product form (per qubit), the

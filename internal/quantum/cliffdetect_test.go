@@ -60,7 +60,7 @@ func TestCliffordImage1Rejections(t *testing.T) {
 		{"Rz(33deg)", RotationDeg(AxisZ, 33)},
 		{"non-unitary", Matrix2{{1, 1}, {0, 1}}},
 	} {
-		if IsClifford1(tc.u) {
+		if _, ok := CliffordImage1(tc.u); ok {
 			t.Errorf("%s wrongly recognized as Clifford", tc.name)
 		}
 	}
@@ -77,7 +77,7 @@ func TestCliffordImage1AcceptsConfiguredCliffords(t *testing.T) {
 		{"H", Hadamard}, {"Z", PauliZ}, {"S", SGate},
 		{"PauliX", PauliX}, {"PauliY", PauliY},
 	} {
-		if !IsClifford1(tc.u) {
+		if _, ok := CliffordImage1(tc.u); !ok {
 			t.Errorf("%s not recognized as Clifford", tc.name)
 		}
 	}
@@ -126,13 +126,13 @@ func TestCliffordImage2KnownGates(t *testing.T) {
 func TestCliffordImage2Rejections(t *testing.T) {
 	// Controlled-S is not Clifford.
 	cs := Matrix4{{1, 0, 0, 0}, {0, 1, 0, 0}, {0, 0, 1, 0}, {0, 0, 0, 1i}}
-	if IsClifford2(cs) {
+	if _, ok := CliffordImage2(cs); ok {
 		t.Error("controlled-S wrongly recognized as Clifford")
 	}
 	// sqrt(SWAP) is not Clifford.
 	p, m := complex(0.5, 0.5), complex(0.5, -0.5)
 	sqrtSwap := Matrix4{{1, 0, 0, 0}, {0, p, m, 0}, {0, m, p, 0}, {0, 0, 0, 1}}
-	if IsClifford2(sqrtSwap) {
+	if _, ok := CliffordImage2(sqrtSwap); ok {
 		t.Error("sqrt(SWAP) wrongly recognized as Clifford")
 	}
 }

@@ -35,6 +35,11 @@ const (
 type Gate1Spec struct {
 	Kind Gate1Kind
 	U    Matrix2
+	// Cliff is U's Clifford conjugation table when the execution-plan
+	// layer resolved one (Clifford site kernels), nil otherwise. The
+	// stabilizer backend applies it directly instead of recognizing U
+	// on every application.
+	Cliff *Cliff1
 }
 
 // ClassifyGate1 inspects u's structural zeros and returns the kernel
@@ -74,6 +79,9 @@ type Gate2Spec struct {
 	U    Matrix4
 	Rows [4]int
 	Vals [4]complex128
+	// Cliff is U's Clifford conjugation table when the execution-plan
+	// layer resolved one, nil otherwise (see Gate1Spec.Cliff).
+	Cliff *Cliff2
 }
 
 // ClassifyGate2 inspects u's structural zeros and returns the kernel
@@ -137,7 +145,7 @@ func base2(k, qLo, qHi int) int {
 // ApplySpec1 applies a classified single-qubit unitary to qubit q,
 // dispatching to the specialized kernel. Results are bit-identical to
 // Apply1(sp.U, q) up to the sign of exactly-zero amplitudes.
-func (s *State) ApplySpec1(sp Gate1Spec, q int) {
+func (s *State) ApplySpec1(sp *Gate1Spec, q int) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
 	half := len(s.amp) >> 1
@@ -182,7 +190,7 @@ func (s *State) ApplySpec1(sp Gate1Spec, q int) {
 // qa the higher-order basis label, dispatching to the specialized
 // kernel. Results are bit-identical to Apply2(sp.U, qa, qb) up to the
 // sign of exactly-zero amplitudes.
-func (s *State) ApplySpec2(sp Gate2Spec, qa, qb int) {
+func (s *State) ApplySpec2(sp *Gate2Spec, qa, qb int) {
 	s.checkQubit(qa)
 	s.checkQubit(qb)
 	if qa == qb {
@@ -241,23 +249,24 @@ func (s *State) ApplySpec2(sp Gate2Spec, qa, qb int) {
 
 // SpecBackend is implemented by backends with kernel-specialized gate
 // paths; the microarchitecture's planned execution uses it when the
-// plan carries pre-classified gate specifications.
+// plan carries pre-classified gate specifications. Specs are passed by
+// pointer into the plan (or its binding), which owns them read-only.
 type SpecBackend interface {
 	// Apply1Spec is Apply1 through the classified kernel.
-	Apply1Spec(sp Gate1Spec, q int, durNs float64)
+	Apply1Spec(sp *Gate1Spec, q int, durNs float64)
 	// Apply2Spec is Apply2 through the classified kernel.
-	Apply2Spec(sp Gate2Spec, qa, qb int, durNs float64)
+	Apply2Spec(sp *Gate2Spec, qa, qb int, durNs float64)
 }
 
 // Apply1Spec implements SpecBackend.
-func (b *SVBackend) Apply1Spec(sp Gate1Spec, q int, durNs float64) {
+func (b *SVBackend) Apply1Spec(sp *Gate1Spec, q int, durNs float64) {
 	b.Idle(q, durNs)
 	b.State.ApplySpec1(sp, q)
 	b.State.Depolarize1(q, b.Noise.Gate1QError)
 }
 
 // Apply2Spec implements SpecBackend.
-func (b *SVBackend) Apply2Spec(sp Gate2Spec, qa, qb int, durNs float64) {
+func (b *SVBackend) Apply2Spec(sp *Gate2Spec, qa, qb int, durNs float64) {
 	b.Idle(qa, durNs)
 	b.Idle(qb, durNs)
 	b.State.ApplySpec2(sp, qa, qb)

@@ -29,7 +29,7 @@ func BenchmarkKernelDiag(b *testing.B) {
 	sp := ClassifyGate1(TGate)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.ApplySpec1(sp, i%benchQubits)
+		s.ApplySpec1(&sp, i%benchQubits)
 	}
 }
 
@@ -46,7 +46,7 @@ func BenchmarkKernelAntiDiag(b *testing.B) {
 	sp := ClassifyGate1(PauliX)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.ApplySpec1(sp, i%benchQubits)
+		s.ApplySpec1(&sp, i%benchQubits)
 	}
 }
 
@@ -55,7 +55,7 @@ func BenchmarkKernelHadamard(b *testing.B) {
 	sp := ClassifyGate1(Hadamard)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.ApplySpec1(sp, i%benchQubits)
+		s.ApplySpec1(&sp, i%benchQubits)
 	}
 }
 
@@ -64,7 +64,7 @@ func BenchmarkKernelCPhase(b *testing.B) {
 	sp := ClassifyGate2(CZ)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.ApplySpec2(sp, i%(benchQubits-1), benchQubits-1)
+		s.ApplySpec2(&sp, i%(benchQubits-1), benchQubits-1)
 	}
 }
 
@@ -81,7 +81,7 @@ func BenchmarkKernelPerm(b *testing.B) {
 	sp := ClassifyGate2(CNOT)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.ApplySpec2(sp, i%(benchQubits-1), benchQubits-1)
+		s.ApplySpec2(&sp, i%(benchQubits-1), benchQubits-1)
 	}
 }
 

@@ -119,7 +119,7 @@ func TestApplySpec1MatchesGeneric(t *testing.T) {
 			ref := randomState(5, 11)
 			got := ref.Clone()
 			ref.Apply1(u, q)
-			got.ApplySpec1(sp, q)
+			got.ApplySpec1(&sp, q)
 			if !statesAgree(ref, got, 0) {
 				t.Errorf("%s on qubit %d: kernel diverges from dense multiply", name, q)
 			}
@@ -143,7 +143,7 @@ func TestApplySpec2MatchesGeneric(t *testing.T) {
 			ref := randomState(5, 23)
 			got := ref.Clone()
 			ref.Apply2(u, pair[0], pair[1])
-			got.ApplySpec2(sp, pair[0], pair[1])
+			got.ApplySpec2(&sp, pair[0], pair[1])
 			if !statesAgree(ref, got, 0) {
 				t.Errorf("%s on (%d,%d): kernel diverges from dense multiply", name, pair[0], pair[1])
 			}

@@ -18,7 +18,8 @@
 // Gates are not limited to a hard-wired H/S/CNOT set: any single- or
 // two-qubit Clifford unitary handed to Apply1/Apply2/ApplyCZ is resolved
 // through quantum.CliffordImage1/2 into its Pauli conjugation table and
-// applied to every row with one table lookup each. Non-Clifford unitaries
+// applied to every row with one table lookup each; planned execution
+// hands over specs whose tables the plan already resolved. Non-Clifford unitaries
 // panic with *quantum.NonCliffordError, which the machine layer recovers
 // into an ordinary execution fault.
 package stabilizer
@@ -118,15 +119,24 @@ func (b *Backend) ApplyCZ(qa, qb int, durNs float64) {
 }
 
 // Apply1Spec implements quantum.SpecBackend: the planned execution path
-// hands over the kernel-classified spec, whose unitary we route through
-// the same Clifford table machinery.
-func (b *Backend) Apply1Spec(sp quantum.Gate1Spec, q int, durNs float64) {
-	b.Apply1(sp.U, q, durNs)
+// hands over the kernel-classified spec, whose Clifford table the plan
+// resolved at build or bind time; a spec without one (a fused product)
+// routes its unitary through the same table machinery as Apply1.
+func (b *Backend) Apply1Spec(sp *quantum.Gate1Spec, q int, durNs float64) {
+	if sp.Cliff == nil {
+		b.Apply1(sp.U, q, durNs)
+		return
+	}
+	b.conj1(sp.Cliff, q)
 }
 
 // Apply2Spec implements quantum.SpecBackend.
-func (b *Backend) Apply2Spec(sp quantum.Gate2Spec, qa, qb int, durNs float64) {
-	b.Apply2(sp.U, qa, qb, durNs)
+func (b *Backend) Apply2Spec(sp *quantum.Gate2Spec, qa, qb int, durNs float64) {
+	if sp.Cliff == nil {
+		b.Apply2(sp.U, qa, qb, durNs)
+		return
+	}
+	b.conj2(sp.Cliff, qa, qb)
 }
 
 // conj1 rewrites every row's letter on qubit q through the Clifford's
