@@ -353,7 +353,7 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, s
 		if rw.Index < 0 || rw.Index >= len(seen) || seen[rw.Index] {
 			continue
 		}
-		switch JobState(rw.Status) {
+		switch rw.Status {
 		case JobRunning:
 			job.markRunning(rw.Index)
 			done = false
@@ -362,9 +362,9 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, s
 			res := resultFromWire(rw)
 			var reqErr error
 			switch {
-			case JobState(rw.Status) == JobCancelled:
+			case rw.Status == JobCancelled:
 				reqErr = context.Canceled
-			case JobState(rw.Status) == JobFailed:
+			case rw.Status == JobFailed:
 				msg := rw.Error
 				if msg == "" {
 					msg = "request failed"
@@ -372,7 +372,7 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, s
 				reqErr = fmt.Errorf("eqasm: service job %s request %d: %s", job.id, rw.Index, msg)
 			}
 			if reqErr == nil {
-				if err := c.replay(ctx, job, rw.Index, res); err != nil {
+				if err := replayHistogram(ctx, job, rw.Index, res); err != nil {
 					// ctx cancelled mid-replay: the remote data is
 					// complete, but the caller abandoned the job — end
 					// it as cancelled with a terminal stream message.
@@ -399,13 +399,6 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, s
 		}
 	}
 	return true
-}
-
-// replay delivers a completed request's histogram to an attached
-// stream consumer (see replayHistogram in controller.go, shared with
-// externally driven jobs).
-func (c *Client) replay(ctx context.Context, job *Job, req int, res *Result) error {
-	return replayHistogram(ctx, job, req, res)
 }
 
 // Run implements Backend as sugar over Submit: a one-request batch,

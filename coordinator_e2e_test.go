@@ -756,6 +756,44 @@ func TestCoordinatorCircuitParity(t *testing.T) {
 	}
 }
 
+// TestCoordinatorPriorityEcho posts a "high" priority batch through the
+// coordinator's HTTP front end and straight to a worker: both tiers
+// answer with the priority the batch was submitted at (the coordinator
+// keeps it even though it dispatches in arrival order).
+func TestCoordinatorPriorityEcho(t *testing.T) {
+	pool := startWorkers(t, 1, service.Config{Workers: 1})
+	coord := newCoordinator(t, pool, coordinator.Config{})
+	front := httptest.NewServer(httpapi.New(coord).Handler())
+	defer front.Close()
+
+	payload, err := json.Marshal(wire.BatchRequest{
+		Requests: []wire.Request{{Source: service.SmokePrograms()["bell"], Shots: 16, Seed: 3}},
+		Priority: "high",
+		Wait:     true,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, url := range []string{pool.urls[0], front.URL} {
+		resp, err := http.Post(url+"/v1/batches", "application/json", bytes.NewReader(payload))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st wire.BatchStatus
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK || st.Status != wire.StateCompleted {
+			t.Fatalf("POST %s/v1/batches: HTTP %d status=%q error=%q", url, resp.StatusCode, st.Status, st.Error)
+		}
+		if st.Priority != "high" {
+			t.Errorf("POST %s/v1/batches: priority = %q, want \"high\"", url, st.Priority)
+		}
+	}
+}
+
 // TestCoordinatorWALReplayParams restarts the coordinator over a
 // journaled parametric batch: the params are journaled with the
 // request, so the recovered batch binds the same points.

@@ -213,14 +213,14 @@ func (c *Coordinator) Chip() string { return c.chip }
 // per-request results are bit-identical to a lone Simulator at the
 // same explicit seed regardless of placement or re-queues.
 func (c *Coordinator) Submit(ctx context.Context, reqs ...eqasm.RunRequest) (*eqasm.Job, error) {
-	p, err := c.submit(ctx, reqs, false)
+	p, err := c.submit(ctx, reqs, service.PriorityNormal, false)
 	if err != nil {
 		return nil, err
 	}
 	return p.job, nil
 }
 
-func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, streaming bool) (*pending, error) {
+func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, prio service.Priority, streaming bool) (*pending, error) {
 	for i, r := range reqs {
 		if r.Program == nil {
 			break // NewControlledJob reports the canonical error
@@ -236,11 +236,11 @@ func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, strea
 		}
 	}
 	id := fmt.Sprintf("coord-%06d", c.seq.Add(1))
-	p, err := c.newPending(id, ctx, reqs)
+	p, err := c.newPending(id, ctx, reqs, prio)
 	if err != nil {
 		return nil, err
 	}
-	data, err := json.Marshal(acceptedRecord{Chip: c.chip, Requests: p.wire})
+	data, err := json.Marshal(acceptedRecord{Chip: c.chip, Priority: prio.String(), Requests: p.wire})
 	if err != nil {
 		p.release()
 		return nil, fmt.Errorf("coordinator: journal batch: %w", err)
@@ -305,7 +305,7 @@ func (c *Coordinator) RunStream(ctx context.Context, p *eqasm.Program, opts eqas
 	ch := make(chan eqasm.ShotResult)
 	go func() {
 		defer close(ch)
-		pend, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, true)
+		pend, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, service.PriorityNormal, true)
 		if err != nil {
 			sendWithGrace(ch, eqasm.ShotResult{Shot: -1, Err: err})
 			return
@@ -350,7 +350,8 @@ func (c *Coordinator) Job(id string) (*eqasm.Job, bool) {
 // request's text resolves to a program through the coordinator's
 // content-hash cache and the workers' compile path, and the batch then
 // routes like any Submit — shots, seed, backend, fusion and params
-// included.
+// included. The priority is kept and reported in the batch status, but
+// batches dispatch in arrival order.
 func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.Batch, error) {
 	spec, err := service.BatchFromWire(req)
 	if err != nil {
@@ -367,7 +368,7 @@ func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wi
 		}
 		reqs[i] = runRequest(prog, wire.Request(r))
 	}
-	return c.submit(ctx, reqs, false)
+	return c.submit(ctx, reqs, spec.Priority, false)
 }
 
 // Batch is Job behind the httpapi.Backend contract.

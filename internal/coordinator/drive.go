@@ -24,12 +24,14 @@ import (
 )
 
 // Journal record shapes. An accepted record carries everything needed
-// to rebuild the batch in a fresh process: each request exactly as the
-// wire carries it to a worker (eQASM text, shots, seed, backend,
-// fusion, params); a result record one request's terminal outcome; a
+// to rebuild the batch in a fresh process: the batch priority and each
+// request exactly as the wire carries it to a worker (eQASM text,
+// shots, seed, backend, fusion, params); a result record one request's
+// terminal outcome; a
 // done entry (no payload) retires the batch from recovery.
 type acceptedRecord struct {
 	Chip     string         `json:"chip,omitempty"`
+	Priority string         `json:"priority,omitempty"`
 	Requests []wire.Request `json:"requests"`
 }
 
@@ -41,14 +43,17 @@ type resultRecord struct {
 
 // pending is one live batch: the controlled job the caller holds, the
 // routing state the driver works through, and the journal entries a
-// checkpoint must preserve while the batch is unfinished.
+// checkpoint must preserve while the batch is unfinished. priority is
+// the batch's wire priority, reported back but not used for dispatch
+// order.
 type pending struct {
-	id   string
-	job  *eqasm.Job
-	ctl  *eqasm.JobController
-	reqs []eqasm.RunRequest
-	wire []wire.Request // per request as the wire carries it (journaled)
-	keys []string       // content-hash routing key per request
+	id       string
+	job      *eqasm.Job
+	ctl      *eqasm.JobController
+	priority service.Priority
+	reqs     []eqasm.RunRequest
+	wire     []wire.Request // per request as the wire carries it (journaled)
+	keys     []string       // content-hash routing key per request
 
 	attempts []int
 	terminal []bool // per-request: outcome recorded (driver-owned)
@@ -70,38 +75,9 @@ func (p *pending) release() {
 	p.cancel(context.Canceled)
 }
 
-// Describe renders the batch as its /v1/batches wire status, in the
-// shape a worker gives its own jobs, so clients cannot tell the tiers
-// apart.
-func (p *pending) Describe() wire.BatchStatus {
-	sts := p.job.Requests()
-	st := wire.BatchStatus{
-		ID:       p.id,
-		Status:   wire.State(p.job.Status()),
-		Priority: service.PriorityNormal.String(),
-		Requests: make([]wire.RequestStatus, len(sts)),
-	}
-	for i, rs := range sts {
-		ws := wire.RequestStatus{Index: rs.Index, Tag: rs.Tag, Status: wire.State(rs.State)}
-		if res := rs.Result; res != nil {
-			ws.Shots = res.Shots
-			ws.Histogram = res.Histogram
-			ws.Qubits = res.Qubits
-			ws.Stats = res.Stats
-			ws.TotalStats = res.TotalStats
-			ws.Backend = res.Backend
-			ws.RunTime = res.Duration
-		}
-		if rs.Err != nil {
-			ws.Error = rs.Err.Error()
-		}
-		st.Requests[i] = ws
-	}
-	if err := p.job.Err(); err != nil && st.Status.Terminal() {
-		st.Error = err.Error()
-	}
-	return st
-}
+// Describe renders the batch as its /v1/batches wire status with the
+// workers' own renderer, so clients cannot tell the tiers apart.
+func (p *pending) Describe() wire.BatchStatus { return service.Describe(p.job, p.priority, nil) }
 
 // Done is closed when the batch's job finalizes.
 func (p *pending) Done() <-chan struct{} { return p.job.Done() }
@@ -123,9 +99,10 @@ func runRequest(prog *eqasm.Program, r wire.Request) eqasm.RunRequest {
 // newPending builds the controlled job and routing state for a batch.
 // The batch's lifetime is bound to submitCtx exactly as Backend
 // documents: expiry cancels it; Job.Cancel does too.
-func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eqasm.RunRequest) (*pending, error) {
+func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eqasm.RunRequest, prio service.Priority) (*pending, error) {
 	p := &pending{
 		id:       id,
+		priority: prio,
 		reqs:     reqs,
 		wire:     make([]wire.Request, len(reqs)),
 		keys:     make([]string, len(reqs)),
@@ -499,7 +476,9 @@ func (c *Coordinator) recover(rb *recBatch) error {
 		}
 		reqs[i] = runRequest(prog, rr)
 	}
-	p, err := c.newPending(rb.id, nil, reqs)
+	// A record from before priorities were journaled reads as normal.
+	prio, _ := service.ParsePriority(rb.accepted.Priority)
+	p, err := c.newPending(rb.id, nil, reqs, prio)
 	if err != nil {
 		return fmt.Errorf("coordinator: wal batch %s: %w", rb.id, err)
 	}

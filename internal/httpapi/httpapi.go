@@ -14,7 +14,9 @@
 //	GET    /v1/stats        backend counters (queue depth, cache hits, batch stats)
 //	GET    /healthz         liveness probe (503 while draining)
 //
-// A single job is a one-request batch.
+// A single job is a one-request batch. A batch's "priority" ("low",
+// "normal" or "high") orders the service's queue; the coordinator
+// accepts and reports it but dispatches batches in arrival order.
 package httpapi
 
 import (
@@ -31,7 +33,8 @@ import (
 
 // Backend is the serving tier the handler set fronts. Both
 // *service.Service and *coordinator.Coordinator implement it, each
-// over its own job type.
+// driving the public eqasm.Job and rendering it with
+// service.Describe.
 type Backend interface {
 	// SubmitWire validates, resolves and admits a decoded batch; ctx
 	// bounds the batch's lifetime.

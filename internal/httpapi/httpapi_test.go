@@ -284,7 +284,7 @@ func TestCancelJob(t *testing.T) {
 	case <-time.After(30 * time.Second):
 		t.Fatal("cancelled job never finished")
 	}
-	if job.Status() != service.StateCancelled {
+	if job.Status() != eqasm.JobCancelled {
 		t.Fatalf("state = %s", job.Status())
 	}
 }
@@ -338,7 +338,7 @@ func TestSubmitBatch(t *testing.T) {
 		}, true))
 		soloRes := first(t, solo)
 		rr := reqs[i]
-		if rr.Tag != req["tag"] || rr.Status != service.StateCompleted {
+		if rr.Tag != req["tag"] || rr.Status != wire.StateCompleted {
 			t.Fatalf("request %d = %+v", i, rr)
 		}
 		if fmt.Sprint(rr.Histogram) != fmt.Sprint(soloRes.Histogram) {

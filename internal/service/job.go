@@ -9,7 +9,6 @@ import (
 	"math"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"eqasm"
@@ -247,133 +246,56 @@ func (spec RequestSpec) CacheKey() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// State is a job's (or one request's) lifecycle phase.
-type State = wire.State
-
-const (
-	StateQueued    = wire.StateQueued
-	StateRunning   = wire.StateRunning
-	StateCompleted = wire.StateCompleted
-	StateFailed    = wire.StateFailed
-	StateCancelled = wire.StateCancelled
-)
-
-// Result is a finished job's aggregate outcome. Requests always carries
-// the per-request results; the top-level Histogram/Qubits/Stats mirror
-// request 0 for single-request jobs (the classic surface) and are empty
-// for multi-request batches, whose outcomes are per request.
-type Result struct {
-	JobID string
-	// Shots is the number of shots actually executed, summed across
-	// requests (less than requested when the job was cancelled
-	// mid-run).
-	Shots int
-	// Histogram counts measurement outcomes of a single-request job.
-	// Keys are bitstrings over the measured qubits in ascending qubit
-	// order (the last result per qubit within a shot); a program that
-	// measures nothing contributes to the "" key.
-	Histogram map[string]int
-	// Qubits lists the measured qubits, ascending — the bit order of
-	// the histogram keys (single-request jobs).
-	Qubits []int
-	// Stats are the counters of the last executed shot (single-request
-	// jobs; see Requests for batches).
-	Stats eqasm.ExecStats
-	// TotalStats sums every executed shot's counters across all
-	// requests.
-	TotalStats eqasm.ExecStats
-	// Requests are the per-request outcomes, in batch order.
-	Requests []wire.RequestStatus
-	// CacheHit reports that every request's program came from the
-	// cache.
-	CacheHit bool
-	// AssembleTime is the assembly/compilation cost paid by this job
-	// (zero on cache hits), summed across requests.
-	AssembleTime time.Duration
-	// QueueTime spans submit to first batch start.
-	QueueTime time.Duration
-	// RunTime spans first batch start to last batch end.
-	RunTime time.Duration
-	// StartedAt and FinishedAt bound the job's execution window.
-	StartedAt  time.Time
-	FinishedAt time.Time
-}
-
-// requestRun is the mutable execution state of one request (guarded by
-// the job mutex, except the skip flag the workers read lock-free).
-type requestRun struct {
-	spec         RequestSpec
-	program      *eqasm.Program
-	cacheHit     bool
-	assembleTime time.Duration
-
-	// skip makes workers drop this request's queued batches after a
-	// failure without touching the job mutex.
-	skip atomic.Bool
-
-	// runCtx is this request's slice of the job run context: cancelled
-	// when the request fails, so its own in-flight batches stop at the
-	// next shot boundary while sibling requests keep running (a
-	// job-level cancel propagates through the parent context).
-	runCtx    context.Context
-	cancelRun context.CancelCauseFunc
-
-	state     State
-	remaining int // outstanding shot batches
-	started   time.Time
-	finished  time.Time
-	shotsRun  int
-	backend   string
-	hist      map[string]int
-	qubits    []int
-	stats     eqasm.ExecStats
-	statsIdx  int // highest batch index that contributed stats
-	total     eqasm.ExecStats
-	err       error
-}
-
-// Job is the handle of a submitted job: a future over Result with
-// per-request state.
-type Job struct {
-	ID string
-
+// jobRun is the service's side of one admitted job: the public
+// eqasm.Job handle and the controller the workers drive it through,
+// the resolved requests with their accumulators, and the queue order.
+// It is also the job's wire.Batch handle for the HTTP front end.
+type jobRun struct {
+	job       *eqasm.Job
+	ctl       *eqasm.JobController
 	priority  Priority
 	seq       int64
 	svc       *Service
-	submitted time.Time
+	reqs      []*requestRun
+	cacheHits []bool // per request: the program came from the cache
+
+	// runCtx is cancelled with the job-level cause (Job.Cancel or the
+	// submit ctx) and, once the job is finished, to release it. Every
+	// request's run context derives from it, so queued batches are
+	// skipped and running ones stop at the next shot boundary.
+	runCtx    context.Context
+	cancelRun context.CancelCauseFunc
 	stopWatch func() bool
 
-	// runCtx is cancelled (with the job's cause) when the job stops:
-	// the execution backend checks it between shots, so running
-	// batches stop at the next shot boundary.
+	mu        sync.Mutex
+	remaining int // outstanding shot batches across all requests
+}
+
+// requestRun is one request of a job: its resolved program, its run
+// context, and the accumulator merging its shot batches into one
+// eqasm.Result (guarded by jobRun.mu).
+type requestRun struct {
+	spec    RequestSpec
+	program *eqasm.Program
+
+	// runCtx is this request's slice of the job run context. A failing
+	// request cancels it with its error: its queued batches are skipped
+	// and its in-flight ones stop at the next shot boundary, while
+	// sibling requests keep running.
 	runCtx    context.Context
 	cancelRun context.CancelCauseFunc
 
-	// cancelled mirrors the job-level cancellation for the workers'
-	// queue-skip check; an atomic read keeps the dispatch path off the
-	// job mutex.
-	cancelled atomic.Bool
-
-	mu        sync.Mutex
-	state     State
+	remaining int // outstanding shot batches
 	started   time.Time
-	finished  time.Time
-	remaining int // outstanding shot batches across all requests
-	reqs      []*requestRun
-	// err is the job's first failure (a request error or the
-	// cancellation cause); cancelCause is set only by a job-level
-	// cancel, so curtailed sibling requests report why they stopped
-	// rather than inheriting another request's fault.
-	err         error
-	cancelCause error
-	result      *Result
-	done        chan struct{}
+	res       eqasm.Result
+	statsIdx  int // highest batch index that contributed Stats
+	err       error
 }
 
 // batch is one unit of work handed to a worker: a shot range of one
 // request.
 type batch struct {
-	job   *Job
+	job   *jobRun
 	req   int
 	index int
 	shots int
@@ -384,7 +306,7 @@ type batch struct {
 // request's own shot count exactly as a single-request job's would —
 // so per-request seed derivation (and therefore results) are
 // bit-identical whether the request is submitted alone or in a batch.
-func (j *Job) split(cfg Config) []*batch {
+func (j *jobRun) split(cfg Config) []*batch {
 	maxBatches := min(cfg.MaxJobBatches, cfg.QueueDepth)
 	var out []*batch
 	for r, req := range j.reqs {
@@ -401,291 +323,136 @@ func (j *Job) split(cfg Config) []*batch {
 	return out
 }
 
-// Priority returns the job's queue priority.
-func (j *Job) Priority() Priority { return j.priority }
+// Describe renders the job with its per-request cache hits (wire.Batch).
+func (j *jobRun) Describe() wire.BatchStatus { return Describe(j.job, j.priority, j.cacheHits) }
 
-// Status returns the job's current lifecycle state.
-func (j *Job) Status() State {
+// Done is closed when the job finalizes (wire.Batch).
+func (j *jobRun) Done() <-chan struct{} { return j.job.Done() }
+
+// Cancel cancels the job (wire.Batch).
+func (j *jobRun) Cancel() { j.job.Cancel() }
+
+// startBatch marks the batch's request running on its first batch.
+func (j *jobRun) startBatch(b *batch) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.state
-}
-
-// NumRequests returns the batch width.
-func (j *Job) NumRequests() int { return len(j.reqs) }
-
-// Describe renders the job as its /v1/batches wire status: identity,
-// lifecycle phase, live per-request statuses and, once terminal, the
-// job's failure or cancellation cause.
-func (j *Job) Describe() wire.BatchStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	st := wire.BatchStatus{
-		ID:       j.ID,
-		Status:   j.state,
-		Priority: j.priority.String(),
-		Requests: make([]wire.RequestStatus, len(j.reqs)),
-	}
-	for i, r := range j.reqs {
-		st.Requests[i] = r.snapshot(i)
-	}
-	if j.state.Terminal() && j.err != nil {
-		st.Error = j.err.Error()
-	}
-	return st
-}
-
-// Requests snapshots the live per-request statuses (histograms and
-// counters included, partial while the request runs).
-func (j *Job) Requests() []wire.RequestStatus {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	out := make([]wire.RequestStatus, len(j.reqs))
-	for i, r := range j.reqs {
-		out[i] = r.snapshot(i)
-	}
-	return out
-}
-
-// snapshot renders one request's state; j.mu held.
-func (r *requestRun) snapshot(i int) wire.RequestStatus {
-	rr := wire.RequestStatus{
-		Index:      i,
-		Tag:        r.spec.Tag,
-		Status:     r.state,
-		Shots:      r.shotsRun,
-		Qubits:     r.qubits,
-		Stats:      r.stats,
-		TotalStats: r.total,
-		CacheHit:   r.cacheHit,
-		Backend:    r.backend,
-	}
-	switch {
-	case !r.finished.IsZero():
-		rr.RunTime = r.finished.Sub(r.started)
-	case !r.started.IsZero():
-		rr.RunTime = time.Since(r.started)
-	}
-	if len(r.hist) > 0 {
-		rr.Histogram = make(map[string]int, len(r.hist))
-		for k, v := range r.hist {
-			rr.Histogram[k] = v
-		}
-	}
-	if r.err != nil {
-		rr.Error = r.err.Error()
-	}
-	return rr
-}
-
-// Done is closed when the job reaches a terminal state.
-func (j *Job) Done() <-chan struct{} { return j.done }
-
-// Err returns the job's failure or cancellation cause (nil while the
-// job is live or after success).
-func (j *Job) Err() error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return j.err
-}
-
-// Result returns the aggregate outcome, or ErrNotDone before the job
-// finishes, or the job's error if it failed or was cancelled.
-func (j *Job) Result() (*Result, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if !j.state.Terminal() {
-		return nil, ErrNotDone
-	}
-	return j.result, j.err
-}
-
-// Wait blocks until the job finishes or ctx expires. A ctx expiry does
-// not cancel the job (cancel via the Submit ctx or Cancel).
-func (j *Job) Wait(ctx context.Context) (*Result, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	select {
-	case <-j.done:
-		return j.Result()
-	case <-ctx.Done():
-		return nil, ctx.Err()
-	}
-}
-
-// Cancel stops the whole job: queued batches are skipped and running
-// batches stop at the next shot boundary. Safe to call at any time.
-func (j *Job) Cancel() { j.cancel(context.Canceled) }
-
-func (j *Job) cancel(cause error) {
-	j.mu.Lock()
-	// Guard on the cancelled flag, not on j.err: a request failure sets
-	// j.err while its siblings deliberately keep running, and a later
-	// Cancel must still be able to stop them.
-	if j.state.Terminal() || j.cancelled.Load() {
-		j.mu.Unlock()
-		return
-	}
-	if cause == nil {
-		cause = context.Canceled
-	}
-	j.cancelCause = cause
-	if j.err == nil {
-		j.err = cause
-	}
-	j.cancelled.Store(true)
-	j.mu.Unlock()
-	j.cancelRun(cause)
-}
-
-// isCancelled is the workers' fast job-level check before starting a
-// batch.
-func (j *Job) isCancelled() bool { return j.cancelled.Load() }
-
-// startBatch transitions the job (and the batch's request) to running.
-func (j *Job) startBatch(b *batch) {
-	j.mu.Lock()
-	if j.state == StateQueued {
-		j.state = StateRunning
-		j.started = time.Now()
-	}
-	if r := j.reqs[b.req]; r.state == StateQueued {
-		r.state = StateRunning
+	if r := j.reqs[b.req]; r.started.IsZero() {
 		r.started = time.Now()
+		j.ctl.MarkRunning(b.req)
 	}
 	j.mu.Unlock()
 }
 
 // finishBatch merges one shot batch's outcome into its request; the
-// final batch of a request settles the request, the final batch of the
-// job finalizes it. A request failure skips that request's remaining
-// batches but leaves sibling requests running.
-func (j *Job) finishBatch(b *batch, res *eqasm.Result, err error) {
+// request's last batch hands the merged result to the controller, the
+// job's last batch finalizes the job.
+func (j *jobRun) finishBatch(b *batch, res *eqasm.Result, err error) {
 	j.mu.Lock()
 	r := j.reqs[b.req]
 	if res != nil {
-		r.shotsRun += res.Shots
-		for k, v := range res.Histogram {
-			if r.hist == nil {
-				r.hist = make(map[string]int, len(res.Histogram))
-			}
-			r.hist[k] += v
-		}
-		if r.qubits == nil && len(res.Qubits) > 0 {
-			r.qubits = res.Qubits
-		}
-		if r.backend == "" {
-			r.backend = res.Backend
-		}
-		if res.Shots > 0 && b.index >= r.statsIdx {
-			r.stats = res.Stats
-			r.statsIdx = b.index
-		}
-		r.total.Add(res.TotalStats)
+		r.merge(b.index, res)
 	}
-	var failed error
 	if err != nil && r.err == nil {
 		r.err = err
-		r.skip.Store(true)
-		failed = err
+		r.cancelRun(err)
 	}
-	if err != nil && j.err == nil {
-		j.err = err
-	}
-	r.remaining--
-	if r.remaining == 0 {
-		r.settleLocked(j)
+	if r.remaining--; r.remaining == 0 {
+		if !r.started.IsZero() {
+			r.res.Duration = time.Since(r.started)
+		}
+		if cause := context.Cause(j.runCtx); r.err == nil && cause != nil && r.res.Shots < r.spec.Shots {
+			// The job was cancelled before this request ran out its
+			// shots.
+			r.err = cause
+		}
+		j.ctl.Finish(b.req, &r.res, r.err)
 	}
 	j.remaining--
 	last := j.remaining == 0
-	if last {
-		j.finalizeLocked()
-	}
 	j.mu.Unlock()
-	if failed != nil {
-		r.cancelRun(failed) // the request's in-flight batches stop early
-	}
 	if last {
-		j.svc.retire(j)
+		j.finalize()
 	}
 }
 
-// settleLocked computes a request's terminal state; j.mu held.
-func (r *requestRun) settleLocked(j *Job) {
-	r.finished = time.Now()
-	if r.started.IsZero() {
-		r.started = r.finished
+// merge folds one batch result into the request's: Stats come from the
+// highest batch index, everything else accumulates.
+func (r *requestRun) merge(index int, res *eqasm.Result) {
+	m := &r.res
+	m.Shots += res.Shots
+	for k, v := range res.Histogram {
+		m.Histogram[k] += v
 	}
-	switch {
-	case r.err != nil && isCancellation(r.err):
-		r.state = StateCancelled
-	case r.err != nil:
-		r.state = StateFailed
-	case j.isCancelled() && r.shotsRun < r.spec.Shots:
-		// The job was cancelled before this request ran out its shots.
-		r.state = StateCancelled
-		r.err = j.cancelCause
-		if r.err == nil {
-			r.err = j.err
+	if m.Qubits == nil && len(res.Qubits) > 0 {
+		m.Qubits = res.Qubits
+	}
+	if m.Backend == "" {
+		m.Backend = res.Backend
+	}
+	if res.Shots > 0 && index >= r.statsIdx {
+		m.Stats = res.Stats
+		r.statsIdx = index
+	}
+	m.TotalStats.Add(res.TotalStats)
+}
+
+// finalize counts the job's outcome, releases its contexts and
+// finalizes the handle. The counters move before Finalize closes Done,
+// so a caller woken by Done reads stats that include its own job; the
+// outcome is the state Finalize is about to compute (failed over
+// cancelled over completed).
+func (j *jobRun) finalize() {
+	outcome := eqasm.JobCompleted
+	for _, rs := range j.job.Requests() {
+		if rs.State == eqasm.JobFailed || (rs.State == eqasm.JobCancelled && outcome == eqasm.JobCompleted) {
+			outcome = rs.State
 		}
-	default:
-		r.state = StateCompleted
 	}
-}
-
-func isCancellation(err error) bool {
-	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
-}
-
-// finalizeLocked computes the terminal state and result; j.mu held.
-func (j *Job) finalizeLocked() {
-	j.finished = time.Now()
-	if j.started.IsZero() {
-		j.started = j.finished
-	}
-	switch {
-	case j.err == nil:
-		j.state = StateCompleted
+	switch outcome {
+	case eqasm.JobCompleted:
 		j.svc.metrics.jobsCompleted.Add(1)
-	case isCancellation(j.err):
-		j.state = StateCancelled
+	case eqasm.JobCancelled:
 		j.svc.metrics.jobsCancelled.Add(1)
 	default:
-		j.state = StateFailed
 		j.svc.metrics.jobsFailed.Add(1)
 	}
-	res := &Result{
-		JobID:     j.ID,
-		CacheHit:  true,
-		QueueTime: j.started.Sub(j.submitted),
-		RunTime:   j.finished.Sub(j.started),
-		StartedAt: j.started, FinishedAt: j.finished,
-		Requests: make([]wire.RequestStatus, len(j.reqs)),
-	}
-	for i, r := range j.reqs {
-		res.Requests[i] = r.snapshot(i)
-		res.Shots += r.shotsRun
-		res.TotalStats.Add(r.total)
-		res.CacheHit = res.CacheHit && r.cacheHit
-		res.AssembleTime += r.assembleTime
-	}
-	if len(j.reqs) == 1 {
-		r := j.reqs[0]
-		res.Histogram = res.Requests[0].Histogram
-		res.Qubits = r.qubits
-		res.Stats = r.stats
-	}
-	if res.Histogram == nil {
-		res.Histogram = map[string]int{}
-	}
-	j.result = res
 	if j.stopWatch != nil {
 		j.stopWatch()
 	}
-	for _, r := range j.reqs {
-		r.cancelRun(nil)
+	j.cancelRun(nil) // releases every request's context too
+	j.ctl.Finalize()
+	j.svc.retire(j)
+}
+
+// Describe renders a job as its /v1/batches wire status, for both
+// serving tiers: the service passes each request's cache hit, the
+// coordinator, which caches no results, passes nil. A queued or
+// running request reports its state only; a finished one its outcome
+// (partial when it failed or was cancelled mid-run). The batch error
+// is the job's first failure or its cancellation cause, once terminal.
+func Describe(job *eqasm.Job, prio Priority, cacheHits []bool) wire.BatchStatus {
+	// Status first: once it reads terminal, every request already is.
+	st := wire.BatchStatus{ID: job.ID(), Status: job.Status(), Priority: prio.String()}
+	for i, rs := range job.Requests() {
+		ws := wire.RequestStatus{Index: rs.Index, Tag: rs.Tag, Status: rs.State}
+		if i < len(cacheHits) {
+			ws.CacheHit = cacheHits[i]
+		}
+		if res := rs.Result; res != nil && rs.State.Terminal() {
+			ws.Shots = res.Shots
+			ws.Histogram = res.Histogram
+			ws.Qubits = res.Qubits
+			ws.Stats = res.Stats
+			ws.TotalStats = res.TotalStats
+			ws.Backend = res.Backend
+			ws.RunTime = res.Duration
+		}
+		if rs.Err != nil {
+			ws.Error = rs.Err.Error()
+		}
+		st.Requests = append(st.Requests, ws)
 	}
-	j.cancelRun(nil) // release the run contexts' resources
-	close(j.done)
+	if err := job.Err(); err != nil && st.Status.Terminal() {
+		st.Error = err.Error()
+	}
+	return st
 }

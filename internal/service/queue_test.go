@@ -2,8 +2,8 @@ package service
 
 import "testing"
 
-func testJob(seq int64, prio Priority) *Job {
-	return &Job{seq: seq, priority: prio}
+func testJob(seq int64, prio Priority) *jobRun {
+	return &jobRun{seq: seq, priority: prio}
 }
 
 func TestQueueOrdering(t *testing.T) {
@@ -16,7 +16,7 @@ func TestQueueOrdering(t *testing.T) {
 	q.tryPush([]*batch{{job: norm, index: 0}})
 	q.tryPush([]*batch{{job: high, index: 0}, {job: high, index: 1}})
 
-	want := []*Job{high, high, norm, low, low}
+	want := []*jobRun{high, high, norm, low, low}
 	var wantIdx = []int{0, 1, 0, 0, 1}
 	for i, wj := range want {
 		b, ok := q.pop()

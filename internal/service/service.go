@@ -3,14 +3,17 @@
 // Clients submit eQASM source, or cQASM or OpenQASM circuit text
 // (Format "cqasm" or "openqasm", compiled server-side through the pass
 // pipeline) — one program per job (Submit) or N programs as one batch
-// job (SubmitBatch) with per-request histograms and statuses. The
+// job (SubmitBatch) — and get back the public *eqasm.Job, the handle
+// the Simulator, the Client and the coordinator hand out too. The
 // service assembles or compiles each program once and caches the
 // result by content hash, and a bounded pool of workers fans every
-// request's shots out as batches over independent QuMA_v2 machines,
-// aggregating the measurement outcomes into per-request histograms.
-// Each request splits and derives its seeds independently of its batch
-// position, so results are bit-identical whether a program is
-// submitted alone or inside a batch.
+// request's shots out as batches over independent QuMA_v2 machines.
+// Each request's batches merge into one eqasm.Result, which its last
+// batch hands to the job's eqasm.JobController; the job's last batch
+// finalizes it. Each request splits and derives its seeds
+// independently of its batch position, so results are bit-identical
+// whether a program is submitted alone or inside a batch. Describe
+// renders a job as its /v1/batches wire status for both serving tiers.
 //
 // Concurrency model (the shared-mutable-state audit of the stack):
 //
@@ -55,8 +58,6 @@ var (
 	// ErrQueueFull reports that the bounded batch queue cannot hold the
 	// job (backpressure; the client should retry or shed load).
 	ErrQueueFull = errors.New("service: queue full")
-	// ErrNotDone reports a Result call on an unfinished job.
-	ErrNotDone = errors.New("service: job not done")
 )
 
 // drainingError lets ErrDraining also match ErrClosed under errors.Is.
@@ -147,7 +148,7 @@ type Service struct {
 
 	mu      sync.Mutex
 	closed  bool
-	jobs    map[string]*Job
+	jobs    map[string]*jobRun
 	retired []string // finished job IDs in retirement order
 
 	jobSeq  atomic.Int64
@@ -200,7 +201,7 @@ func New(cfg Config) (*Service, error) {
 		sim:   sim,
 		cache: NewProgramCache(cfg.CacheSize),
 		queue: newBatchQueue(cfg.QueueDepth),
-		jobs:  map[string]*Job{},
+		jobs:  map[string]*jobRun{},
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workersWG.Add(1)
@@ -217,7 +218,7 @@ func New(cfg Config) (*Service, error) {
 // its handle — sugar over a one-request SubmitBatch. ctx cancellation
 // propagates to the job for its whole lifetime: a deadline that expires
 // while the job is queued or running cancels it.
-func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
+func (s *Service) Submit(ctx context.Context, spec JobSpec) (*eqasm.Job, error) {
 	return s.SubmitBatch(ctx, spec.batch())
 }
 
@@ -227,7 +228,16 @@ func (s *Service) Submit(ctx context.Context, spec JobSpec) (*Job, error) {
 // single-request job with the same shot count would, so per-request
 // results are bit-identical to submitting each request on its own (at
 // the same seeds). ctx cancellation propagates to the whole batch.
-func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error) {
+func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*eqasm.Job, error) {
+	j, err := s.admit(ctx, spec)
+	if err != nil {
+		return nil, err
+	}
+	return j.job, nil
+}
+
+// admit is SubmitBatch returning the service's side of the job.
+func (s *Service) admit(ctx context.Context, spec BatchSpec) (*jobRun, error) {
 	if err := spec.Validate(); err != nil {
 		s.metrics.jobsRejected.Add(1)
 		return nil, err
@@ -249,8 +259,10 @@ func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error)
 	s.mu.Unlock()
 
 	reqs := make([]*requestRun, len(spec.Requests))
+	cacheHits := make([]bool, len(spec.Requests))
+	runReqs := make([]eqasm.RunRequest, len(spec.Requests))
 	for i, rs := range spec.Requests {
-		prog, cacheHit, assembleTime, err := s.resolve(rs)
+		prog, cacheHit, err := s.resolve(rs)
 		if err != nil {
 			s.metrics.jobsRejected.Add(1)
 			if len(spec.Requests) > 1 {
@@ -258,66 +270,56 @@ func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error)
 			}
 			return nil, err
 		}
-		reqs[i] = &requestRun{
-			spec:         rs,
-			program:      prog,
-			cacheHit:     cacheHit,
-			assembleTime: assembleTime,
-			state:        StateQueued,
-		}
+		reqs[i] = &requestRun{spec: rs, program: prog, res: eqasm.Result{Histogram: map[string]int{}}}
+		cacheHits[i] = cacheHit
+		runReqs[i] = eqasm.RunRequest{Program: prog, Tag: rs.Tag}
 	}
 
 	seq := s.jobSeq.Add(1)
-	job := &Job{
-		ID:        fmt.Sprintf("job-%06d", seq),
-		priority:  spec.Priority,
-		seq:       seq,
-		svc:       s,
-		submitted: time.Now(),
-		state:     StateQueued,
-		reqs:      reqs,
-		done:      make(chan struct{}),
+	j := &jobRun{priority: spec.Priority, seq: seq, svc: s, reqs: reqs, cacheHits: cacheHits}
+	j.runCtx, j.cancelRun = context.WithCancelCause(context.Background())
+	for _, r := range j.reqs {
+		r.runCtx, r.cancelRun = context.WithCancelCause(j.runCtx)
 	}
-	job.runCtx, job.cancelRun = context.WithCancelCause(context.Background())
-	for _, r := range reqs {
-		r.runCtx, r.cancelRun = context.WithCancelCause(job.runCtx)
+	var err error
+	j.job, j.ctl, err = eqasm.NewControlledJob(fmt.Sprintf("job-%06d", seq), runReqs,
+		func() { j.cancelRun(context.Canceled) })
+	if err != nil {
+		s.rejectJob(j)
+		return nil, err
 	}
-	batches := job.split(s.cfg)
+	batches := j.split(s.cfg)
 	// Each request's split is position-independent (that is what makes
 	// batch results bit-identical to solo submissions), so a batch of
 	// many huge requests can legitimately need more slots than the
 	// queue holds — reject it explicitly rather than letting the
 	// all-or-nothing push fail forever on an idle service.
 	if len(batches) > s.cfg.QueueDepth {
-		job.cancelRun(nil)
-		for _, r := range reqs {
-			r.cancelRun(nil)
-		}
-		s.metrics.jobsRejected.Add(1)
+		s.rejectJob(j)
 		return nil, fmt.Errorf("%w: batch of %d requests needs %d queue slots, queue holds %d (split the batch or raise QueueDepth)",
 			ErrQueueFull, len(reqs), len(batches), s.cfg.QueueDepth)
 	}
-	job.remaining = len(batches)
+	j.remaining = len(batches)
 	// Wire ctx cancellation before any batch can run, so finalize never
 	// races the watcher's installation.
 	if ctx != nil && ctx.Done() != nil {
-		job.stopWatch = context.AfterFunc(ctx, func() { job.cancel(context.Cause(ctx)) })
+		j.stopWatch = context.AfterFunc(ctx, func() { j.cancelRun(context.Cause(ctx)) })
 	}
 
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		s.rejectJob(job)
+		s.rejectJob(j)
 		return nil, s.closedErr()
 	}
 	// Registration and enqueue happen under one lock so Shutdown's
 	// drain cannot miss a job between the closed check and the push.
 	if !s.queue.tryPush(batches) {
 		s.mu.Unlock()
-		s.rejectJob(job)
+		s.rejectJob(j)
 		return nil, ErrQueueFull
 	}
-	s.jobs[job.ID] = job
+	s.jobs[j.job.ID()] = j
 	s.jobsWG.Add(1)
 	s.mu.Unlock()
 
@@ -326,21 +328,35 @@ func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*Job, error)
 	if len(reqs) > 1 {
 		s.metrics.batchJobs.Add(1)
 	}
-	return job, nil
+	return j, nil
 }
 
-// Run is the synchronous convenience wrapper: Submit then Wait.
-func (s *Service) Run(ctx context.Context, spec JobSpec) (*Result, error) {
+// Run is the synchronous convenience wrapper: Submit, then wait for
+// the single request's result (partial alongside the error when the
+// job failed or was cancelled).
+func (s *Service) Run(ctx context.Context, spec JobSpec) (*eqasm.Result, error) {
 	job, err := s.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return job.Wait(ctx)
+	results, err := job.Wait(ctx)
+	if len(results) == 0 {
+		return nil, err
+	}
+	return results[0], err
 }
 
 // Job returns a submitted job by ID (including recently finished ones,
 // bounded by Config.RetainJobs).
-func (s *Service) Job(id string) (*Job, bool) {
+func (s *Service) Job(id string) (*eqasm.Job, bool) {
+	if j, ok := s.lookup(id); ok {
+		return j.job, true
+	}
+	return nil, false
+}
+
+// lookup finds a job by ID, including recently finished ones.
+func (s *Service) lookup(id string) (*jobRun, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	j, ok := s.jobs[id]
@@ -354,16 +370,16 @@ func (s *Service) SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.B
 	if err != nil {
 		return nil, err
 	}
-	job, err := s.SubmitBatch(ctx, spec)
+	j, err := s.admit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	return job, nil
+	return j, nil
 }
 
 // Batch is Job behind the httpapi.Backend contract.
 func (s *Service) Batch(id string) (wire.Batch, bool) {
-	if j, ok := s.Job(id); ok {
+	if j, ok := s.lookup(id); ok {
 		return j, true
 	}
 	return nil, false
@@ -378,24 +394,23 @@ func (s *Service) StatsPayload() any { return s.Stats() }
 // alongside the source on the program object itself, so a
 // cache-resident program plans exactly once for all jobs and batches
 // that hash to it.
-func (s *Service) resolve(spec RequestSpec) (prog *eqasm.Program, hit bool, d time.Duration, err error) {
+func (s *Service) resolve(spec RequestSpec) (prog *eqasm.Program, hit bool, err error) {
 	key := spec.CacheKey()
 	if p, ok := s.cache.Get(key); ok {
 		if err := s.preparePlan(p); err != nil {
-			return nil, false, 0, err
+			return nil, false, err
 		}
-		return p, true, 0, nil
+		return p, true, nil
 	}
-	start := time.Now()
 	prog, err = s.cfg.Compile(spec.Source, spec.Format)
 	if err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	if err := s.preparePlan(prog); err != nil {
-		return nil, false, 0, err
+		return nil, false, err
 	}
 	s.cache.Put(key, prog)
-	return prog, false, time.Since(start), nil
+	return prog, false, nil
 }
 
 // preparePlan forces the program's execution plan and accounts the
@@ -440,8 +455,7 @@ func (s *Service) Stats() Stats {
 	s.mu.Lock()
 	active := int64(0)
 	for _, j := range s.jobs {
-		st := j.Status()
-		if st == StateQueued || st == StateRunning {
+		if !j.job.Status().Terminal() {
 			active++
 		}
 	}
@@ -545,7 +559,7 @@ func (s *Service) Close() error {
 	s.draining.Store(true)
 	s.mu.Lock()
 	s.closed = true
-	jobs := make([]*Job, 0, len(s.jobs))
+	jobs := make([]*jobRun, 0, len(s.jobs))
 	for _, j := range s.jobs {
 		jobs = append(jobs, j)
 	}
@@ -560,18 +574,19 @@ func (s *Service) Close() error {
 }
 
 // rejectJob accounts for a job that never entered the queue.
-func (s *Service) rejectJob(j *Job) {
+func (s *Service) rejectJob(j *jobRun) {
 	if j.stopWatch != nil {
 		j.stopWatch()
 	}
+	j.cancelRun(nil)
 	s.metrics.jobsRejected.Add(1)
 }
 
 // retire records a finished job and evicts the oldest finished jobs
 // beyond the retention bound.
-func (s *Service) retire(j *Job) {
+func (s *Service) retire(j *jobRun) {
 	s.mu.Lock()
-	s.retired = append(s.retired, j.ID)
+	s.retired = append(s.retired, j.job.ID())
 	for len(s.retired) > s.cfg.RetainJobs {
 		delete(s.jobs, s.retired[0])
 		s.retired = s.retired[1:]

@@ -13,6 +13,7 @@ import (
 
 	"eqasm"
 	"eqasm/internal/service"
+	"eqasm/internal/wire"
 )
 
 func newService(t *testing.T, cfg service.Config) *service.Service {
@@ -25,15 +26,35 @@ func newService(t *testing.T, cfg service.Config) *service.Service {
 	return svc
 }
 
-func waitResult(t *testing.T, job *service.Job) *service.Result {
+func waitResults(t *testing.T, job *eqasm.Job) []*eqasm.Result {
 	t.Helper()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	res, err := job.Wait(ctx)
 	if err != nil {
-		t.Fatalf("job %s: %v", job.ID, err)
+		t.Fatalf("job %s: %v", job.ID(), err)
 	}
 	return res
+}
+
+// describe renders a job's wire status through the service's own batch
+// handle, the way GET /v1/batches/{id} does.
+func describe(t *testing.T, svc *service.Service, job *eqasm.Job) wire.BatchStatus {
+	t.Helper()
+	b, ok := svc.Batch(job.ID())
+	if !ok {
+		t.Fatalf("job %s not found", job.ID())
+	}
+	return b.Describe()
+}
+
+// runCacheHit runs a single-request job to completion and reports its
+// wire cache_hit.
+func runCacheHit(t *testing.T, svc *service.Service, spec service.JobSpec) bool {
+	t.Helper()
+	job := mustSubmit(t, svc, spec)
+	waitResults(t, job)
+	return describe(t, svc, job).Requests[0].CacheHit
 }
 
 // A Bell job fans out over workers and aggregates a two-outcome
@@ -52,8 +73,8 @@ func TestSubmitBell(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := waitResult(t, job)
-	if job.Status() != service.StateCompleted {
+	res := waitResults(t, job)[0]
+	if job.Status() != eqasm.JobCompleted {
 		t.Fatalf("state = %s", job.Status())
 	}
 	if res.Shots != shots {
@@ -82,21 +103,13 @@ func TestCacheHitMissAccounting(t *testing.T) {
 	svc := newService(t, service.Config{Workers: 2, Machine: []eqasm.Option{eqasm.WithSeed(1)}})
 	progs := service.SmokePrograms()
 
-	res, err := svc.Run(context.Background(), service.JobSpec{Source: progs["flip"], Shots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.CacheHit {
+	if runCacheHit(t, svc, service.JobSpec{Source: progs["flip"], Shots: 3}) {
 		t.Fatal("first submit reported a cache hit")
 	}
-	res, err = svc.Run(context.Background(), service.JobSpec{Source: progs["flip"], Shots: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
+	if !runCacheHit(t, svc, service.JobSpec{Source: progs["flip"], Shots: 3}) {
 		t.Fatal("second submit of identical source missed the cache")
 	}
-	if _, err = svc.Run(context.Background(), service.JobSpec{Source: progs["bell"], Shots: 3}); err != nil {
+	if _, err := svc.Run(context.Background(), service.JobSpec{Source: progs["bell"], Shots: 3}); err != nil {
 		t.Fatal(err)
 	}
 	st := svc.Stats()
@@ -184,19 +197,19 @@ func TestCancellationMidJob(t *testing.T) {
 	}
 	// Let it start, then pull the plug.
 	deadline := time.Now().Add(10 * time.Second)
-	for job.Status() == service.StateQueued && time.Now().Before(deadline) {
+	for job.Status() == eqasm.JobQueued && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	cancel()
 	<-job.Done()
-	if job.Status() != service.StateCancelled {
+	if job.Status() != eqasm.JobCancelled {
 		t.Fatalf("state = %s, want cancelled", job.Status())
 	}
-	if _, err := job.Result(); !errors.Is(err, context.Canceled) {
+	if _, err := job.Results(); !errors.Is(err, context.Canceled) {
 		t.Fatalf("result error = %v, want context.Canceled", err)
 	}
-	res, _ := job.Result()
-	if res == nil || res.Shots >= shots {
+	results, _ := job.Results()
+	if res := results[0]; res == nil || res.Shots >= shots {
 		t.Fatalf("expected a partial run, got %+v", res)
 	}
 	if svc.Stats().JobsCancelled != 1 {
@@ -215,7 +228,7 @@ func TestQueueSaturation(t *testing.T) {
 	})
 	progs := service.SmokePrograms()
 	// One job on the worker, four filling the queue.
-	jobs := make([]*service.Job, 0, 5)
+	jobs := make([]*eqasm.Job, 0, 5)
 	for i := 0; i < 5; i++ {
 		job, err := svc.Submit(context.Background(), service.JobSpec{
 			Source: progs["flip"], Shots: 1000,
@@ -228,7 +241,7 @@ func TestQueueSaturation(t *testing.T) {
 			// Make sure the worker has the first job off the queue so
 			// the next four occupy all four slots.
 			deadline := time.Now().Add(10 * time.Second)
-			for job.Status() == service.StateQueued && time.Now().Before(deadline) {
+			for job.Status() == eqasm.JobQueued && time.Now().Before(deadline) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -244,7 +257,7 @@ func TestQueueSaturation(t *testing.T) {
 	}
 	// The service recovers: the backlog drains and new jobs run.
 	for _, job := range jobs {
-		waitResult(t, job)
+		waitResults(t, job)
 	}
 	res, err := svc.Run(context.Background(), service.JobSpec{
 		Source: progs["flip"], Shots: 4,
@@ -305,15 +318,17 @@ func TestPriorityOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	highRes := waitResult(t, high)
-	lowRes := waitResult(t, low)
-	waitResult(t, blocker)
+	waitResults(t, low)
 	// The single worker must have run the whole high-priority job
-	// before starting the earlier-submitted low-priority one.
-	if !lowRes.StartedAt.After(highRes.FinishedAt) {
-		t.Fatalf("low job started %v, before high finished %v",
-			lowRes.StartedAt, highRes.FinishedAt)
+	// before starting the earlier-submitted low-priority one, so high
+	// is done by the time low is.
+	select {
+	case <-high.Done():
+	default:
+		t.Fatal("low-priority job finished while the high-priority one was unfinished")
 	}
+	waitResults(t, high)
+	waitResults(t, blocker)
 }
 
 // Circuit text compiles through the scheduler/emitter path and shares
@@ -338,11 +353,7 @@ func TestCircuitJob(t *testing.T) {
 		t.Fatalf("histogram sums to %d", total)
 	}
 	spec.Shots = 10
-	res, err = svc.Run(context.Background(), spec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.CacheHit {
+	if !runCacheHit(t, svc, spec) {
 		t.Fatal("identical circuit missed the cache")
 	}
 }
@@ -398,7 +409,7 @@ func TestShutdownDrains(t *testing.T) {
 		BatchShots: 8,
 		Machine:    []eqasm.Option{eqasm.WithSeed(10)},
 	})
-	var jobs []*service.Job
+	var jobs []*eqasm.Job
 	for i := 0; i < 6; i++ {
 		job, err := svc.Submit(context.Background(), service.JobSpec{
 			Source: service.SmokePrograms()["bell"],
@@ -415,8 +426,8 @@ func TestShutdownDrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, job := range jobs {
-		if job.Status() != service.StateCompleted {
-			t.Fatalf("job %s = %s after drain", job.ID, job.Status())
+		if job.Status() != eqasm.JobCompleted {
+			t.Fatalf("job %s = %s after drain", job.ID(), job.Status())
 		}
 	}
 	if _, err := svc.Submit(context.Background(), service.JobSpec{Source: "STOP"}); !errors.Is(err, service.ErrClosed) {
@@ -439,8 +450,8 @@ func TestJobRetention(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		waitResult(t, job)
-		ids = append(ids, job.ID)
+		waitResults(t, job)
+		ids = append(ids, job.ID())
 	}
 	if _, ok := svc.Job(ids[0]); ok {
 		t.Fatalf("job %s not evicted at retention 2", ids[0])
@@ -499,10 +510,11 @@ func TestSubmitBatchPerRequestParity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if job.NumRequests() != 3 {
-		t.Fatalf("NumRequests = %d", job.NumRequests())
+	if n := len(job.Requests()); n != 3 {
+		t.Fatalf("NumRequests = %d", n)
 	}
-	res := waitResult(t, job)
+	waitResults(t, job)
+	res := describe(t, svc, job)
 	if len(res.Requests) != 3 {
 		t.Fatalf("requests = %d", len(res.Requests))
 	}
@@ -515,7 +527,7 @@ func TestSubmitBatchPerRequestParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		rr := res.Requests[i]
-		if rr.Index != i || rr.Tag != rs.Tag || rr.Status != service.StateCompleted {
+		if rr.Index != i || rr.Tag != rs.Tag || rr.Status != wire.StateCompleted {
 			t.Fatalf("request %d header = %+v", i, rr)
 		}
 		if rr.Shots != rs.Shots {
@@ -529,8 +541,12 @@ func TestSubmitBatchPerRequestParity(t *testing.T) {
 		}
 		wantShots += rs.Shots
 	}
-	if res.Shots != wantShots {
-		t.Fatalf("aggregate shots = %d, want %d", res.Shots, wantShots)
+	gotShots := 0
+	for _, rr := range res.Requests {
+		gotShots += rr.Shots
+	}
+	if gotShots != wantShots {
+		t.Fatalf("aggregate shots = %d, want %d", gotShots, wantShots)
 	}
 	st := svc.Stats()
 	if st.BatchJobs != 1 || st.RequestsSubmitted != 6 {
@@ -556,18 +572,18 @@ func TestBatchRequestFailureIsolated(t *testing.T) {
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, err := job.Wait(ctx)
-	if err == nil {
+	if _, err := job.Wait(ctx); err == nil {
 		t.Fatal("batch with a faulting request completed clean")
 	}
-	if job.Status() != service.StateFailed {
+	if job.Status() != eqasm.JobFailed {
 		t.Fatalf("job state = %s", job.Status())
 	}
-	if res.Requests[0].Status != service.StateFailed || res.Requests[0].Error == "" {
+	res := describe(t, svc, job)
+	if res.Requests[0].Status != wire.StateFailed || res.Requests[0].Error == "" {
 		t.Fatalf("bad request = %+v", res.Requests[0])
 	}
 	good := res.Requests[1]
-	if good.Status != service.StateCompleted || good.Shots != 12 || good.Histogram["1"] != 12 {
+	if good.Status != wire.StateCompleted || good.Shots != 12 || good.Histogram["1"] != 12 {
 		t.Fatalf("good request = %+v", good)
 	}
 }
@@ -642,21 +658,20 @@ func TestCancelAfterRequestFailure(t *testing.T) {
 	}
 	// Wait for the failure to land, then cancel the rest of the batch.
 	deadline := time.Now().Add(10 * time.Second)
-	for job.Requests()[0].Status != service.StateFailed {
+	for job.Requests()[0].State != eqasm.JobFailed {
 		if time.Now().After(deadline) {
-			t.Fatalf("bad request stuck in %q", job.Requests()[0].Status)
+			t.Fatalf("bad request stuck in %q", job.Requests()[0].State)
 		}
 		time.Sleep(time.Millisecond)
 	}
 	job.Cancel()
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
-	res, _ := job.Wait(ctx)
-	if res == nil {
+	if res, _ := job.Wait(ctx); res == nil {
 		t.Fatal("cancelled batch never finished")
 	}
-	long := res.Requests[1]
-	if long.Status != service.StateCancelled {
+	long := describe(t, svc, job).Requests[1]
+	if long.Status != wire.StateCancelled {
 		t.Fatalf("long request = %q, want cancelled", long.Status)
 	}
 	if long.Shots >= 50_000_000 {
@@ -679,10 +694,10 @@ func TestBackendSelectionAndStats(t *testing.T) {
 	bell := service.SmokePrograms()["bell"]
 
 	// Forced state vector first: no stabilizer shots yet.
-	res := waitResult(t, mustSubmit(t, svc, service.JobSpec{
+	res := waitResults(t, mustSubmit(t, svc, service.JobSpec{
 		Source: bell, Shots: shots, Backend: eqasm.BackendStateVector,
 	}))
-	if got := res.Requests[0].Backend; got != eqasm.BackendStateVector {
+	if got := res[0].Backend; got != eqasm.BackendStateVector {
 		t.Fatalf("request backend = %q, want %q", got, eqasm.BackendStateVector)
 	}
 	if st := svc.Stats(); st.StabilizerShots != 0 {
@@ -691,8 +706,8 @@ func TestBackendSelectionAndStats(t *testing.T) {
 
 	// Auto-selection routes the noiseless Clifford-only Bell program to
 	// the tableau and the counter follows.
-	res = waitResult(t, mustSubmit(t, svc, service.JobSpec{Source: bell, Shots: shots}))
-	if got := res.Requests[0].Backend; got != eqasm.BackendStabilizer {
+	res = waitResults(t, mustSubmit(t, svc, service.JobSpec{Source: bell, Shots: shots}))
+	if got := res[0].Backend; got != eqasm.BackendStabilizer {
 		t.Fatalf("auto request backend = %q, want %q", got, eqasm.BackendStabilizer)
 	}
 	st := svc.Stats()
@@ -731,7 +746,7 @@ func TestBackendSelectionAndStats(t *testing.T) {
 	}
 }
 
-func mustSubmit(t *testing.T, svc *service.Service, spec service.JobSpec) *service.Job {
+func mustSubmit(t *testing.T, svc *service.Service, spec service.JobSpec) *eqasm.Job {
 	t.Helper()
 	job, err := svc.Submit(context.Background(), spec)
 	if err != nil {

@@ -29,9 +29,9 @@ func (s *Service) workerLoop() {
 func (s *Service) runBatch(b *batch) {
 	job := b.job
 	// Skip the batch when the whole job was cancelled, or when its own
-	// request already failed (sibling requests of the batch keep
-	// running).
-	if job.isCancelled() || job.reqs[b.req].skip.Load() {
+	// request already failed: both cancel the request's run context
+	// (sibling requests of the batch keep running).
+	if job.reqs[b.req].runCtx.Err() != nil {
 		job.finishBatch(b, nil, nil)
 		return
 	}
@@ -66,9 +66,9 @@ func (s *Service) runBatch(b *batch) {
 // summed counters). Seeds derive from the request's own base seed and
 // the batch index within the request, so a request's random streams
 // are independent of which worker runs it and of its position in the
-// batch. The job's run context stops the backend at the next shot
-// boundary on cancellation; cancellation is not an error here (the job
-// records its own cause).
+// batch. The request's run context stops the backend at the next shot
+// boundary on cancellation; cancellation is not an error here (the
+// request settles with the job's cancellation cause).
 func (s *Service) executeBatch(b *batch) (*eqasm.Result, error) {
 	r := b.job.reqs[b.req]
 	base := s.sim.Seed()
@@ -83,7 +83,8 @@ func (s *Service) executeBatch(b *batch) (*eqasm.Result, error) {
 		Fusion:  r.spec.Fusion,
 		Params:  r.spec.Params,
 	})
-	// Cancellation is not an error (the job records its own cause), and
+	// Cancellation is not an error (the request settles with the job's
+	// cause), and
 	// neither is a stop triggered by the request's own earlier failure
 	// (the cancellation cause is that failure; the request already
 	// recorded it).

@@ -94,7 +94,9 @@ func (s *ExecStats) Add(o ExecStats) {
 }
 
 // RequestStatus is one request's status and, once finished, outcome.
-// Histograms and counters are partial while the request runs.
+// A queued or running request reports its index, tag, state and cache
+// hit only; the outcome fields are set when it finishes, partial when
+// it failed or was cancelled mid-run.
 type RequestStatus struct {
 	// Index is the request's position in the batch.
 	Index int `json:"index"`
@@ -102,7 +104,7 @@ type RequestStatus struct {
 	Tag string `json:"tag,omitempty"`
 	// Status is the request's lifecycle phase.
 	Status State `json:"status"`
-	// Shots counts the request's executed shots so far.
+	// Shots counts the request's executed shots.
 	Shots int `json:"shots"`
 	// Histogram counts measurement outcomes; keys are bitstrings over
 	// Qubits in ascending order (the last result per qubit within a
@@ -121,7 +123,7 @@ type RequestStatus struct {
 	// shots ("statevector", "densitymatrix" or "stabilizer").
 	Backend string `json:"backend,omitempty"`
 	// RunTime spans the request's first shot batch start to its last
-	// batch end (still growing while the request runs).
+	// batch end.
 	RunTime time.Duration `json:"run_ns"`
 	// Error is the request's failure or cancellation message.
 	Error string `json:"error,omitempty"`
@@ -139,7 +141,7 @@ type BatchStatus struct {
 }
 
 // Batch is a submitted batch as a serving tier hands it to the HTTP
-// front end: a live handle each tier implements over its own job type.
+// front end: a live handle each tier implements over its eqasm.Job.
 type Batch interface {
 	// Describe snapshots the batch's status.
 	Describe() BatchStatus

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"eqasm/internal/wire"
 )
 
 // RunRequest is one program execution inside a batch: the program, its
@@ -39,21 +41,18 @@ func (r RunRequest) params() map[string]float64 {
 	return r.Options.Params
 }
 
-// JobState is a job's (or a single request's) lifecycle phase.
-type JobState string
+// JobState is a job's (or a single request's) lifecycle phase, the
+// same five values the /v1/batches wire carries (see internal/wire);
+// Terminal reports whether the state is final.
+type JobState = wire.State
 
 const (
-	JobQueued    JobState = "queued"
-	JobRunning   JobState = "running"
-	JobCompleted JobState = "completed"
-	JobFailed    JobState = "failed"
-	JobCancelled JobState = "cancelled"
+	JobQueued    = wire.StateQueued
+	JobRunning   = wire.StateRunning
+	JobCompleted = wire.StateCompleted
+	JobFailed    = wire.StateFailed
+	JobCancelled = wire.StateCancelled
 )
-
-// Terminal reports whether the state is final.
-func (s JobState) Terminal() bool {
-	return s == JobCompleted || s == JobFailed || s == JobCancelled
-}
 
 // ErrJobNotDone reports a Results call on a job that has not reached a
 // terminal state yet; Wait instead of polling.
