@@ -368,7 +368,13 @@ func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wi
 		}
 		reqs[i] = runRequest(prog, wire.Request(r))
 	}
-	return c.submit(ctx, reqs, spec.Priority, false)
+	// Returning submit's *pending directly would wrap a nil pointer in
+	// a non-nil wire.Batch on the error path.
+	p, err := c.submit(ctx, reqs, spec.Priority, false)
+	if err != nil {
+		return nil, err
+	}
+	return p, nil
 }
 
 // Batch is Job behind the httpapi.Backend contract.

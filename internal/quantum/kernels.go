@@ -16,6 +16,17 @@ package quantum
 // matrix that is only numerically close to a special form (e.g. the
 // π x-rotation, whose diagonal holds cos(π/2) ≈ 6.1e-17) deliberately
 // stays Gate1Generic.
+//
+// Every State kernel walks the amplitude array in one loop shape. A
+// gate on qubit q pairs index i with i|2^q, and those pairs sit in
+// blocks of 2·2^q amplitudes: the run with bit q clear followed by the
+// run with it set. The kernel steps h over the blocks and walks the two
+// runs of each block side by side; a two-qubit kernel nests the same
+// walk over the higher qubit's blocks and then the lower one's, giving
+// four runs (quad). Matrix entries are read into locals before the
+// walk. Each amplitude gets the same floating-point operations in the
+// same order as an index-by-index loop, and probability sums still run
+// in ascending index order.
 
 // Gate1Kind classifies a single-qubit unitary for kernel dispatch.
 type Gate1Kind uint8
@@ -128,61 +139,54 @@ func ClassifyGate2(u Matrix4) Gate2Spec {
 	return sp
 }
 
-// base1 returns the k-th basis index with bit q clear, in ascending
-// order: the state-vector kernels iterate 2^(n-1) base indices directly
-// instead of scanning the full array and skipping half of it.
-func base1(k, q int) int {
-	return (k>>uint(q))<<uint(q+1) | k&(1<<uint(q)-1)
-}
-
-// base2 returns the k-th basis index with bits qLo < qHi clear, in
-// ascending order (2^(n-2) bases).
-func base2(k, qLo, qHi int) int {
-	b := base1(k, qLo)
-	return (b>>uint(qHi))<<uint(qHi+1) | b&(1<<uint(qHi)-1)
-}
-
 // ApplySpec1 applies a classified single-qubit unitary to qubit q,
 // dispatching to the specialized kernel. Results are bit-identical to
 // Apply1(sp.U, q) up to the sign of exactly-zero amplitudes.
 func (s *State) ApplySpec1(sp *Gate1Spec, q int) {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
-	half := len(s.amp) >> 1
 	switch sp.Kind {
 	case Gate1Diag:
 		d0, d1 := sp.U[0][0], sp.U[1][1]
 		if d0 == 1 {
-			// Phase gate: only the set-bit half moves.
-			for k := 0; k < half; k++ {
-				i := base1(k, q) | bit
-				s.amp[i] = d1 * s.amp[i]
+			// Phase gate: only the set-bit runs move.
+			for h := bit; h < len(s.amp); h += 2 * bit {
+				scale(s.amp[h:h+bit], d1)
 			}
 			return
 		}
-		for k := 0; k < half; k++ {
-			base := base1(k, q)
-			s.amp[base] = d0 * s.amp[base]
-			s.amp[base|bit] = d1 * s.amp[base|bit]
+		for h := 0; h < len(s.amp); h += 2 * bit {
+			scale(s.amp[h:h+bit], d0)
+			scale(s.amp[h+bit:h+2*bit], d1)
 		}
 	case Gate1AntiDiag:
 		u01, u10 := sp.U[0][1], sp.U[1][0]
-		for k := 0; k < half; k++ {
-			base := base1(k, q)
-			a0, a1 := s.amp[base], s.amp[base|bit]
-			s.amp[base] = u01 * a1
-			s.amp[base|bit] = u10 * a0
+		for h := 0; h < len(s.amp); h += 2 * bit {
+			lo, hi := s.amp[h:h+bit], s.amp[h+bit:][:bit]
+			for i, a0 := range lo {
+				lo[i] = u01 * hi[i]
+				hi[i] = u10 * a0
+			}
 		}
 	case Gate1Hadamard:
-		h := sp.U[0][0]
-		for k := 0; k < half; k++ {
-			base := base1(k, q)
-			ha0, ha1 := h*s.amp[base], h*s.amp[base|bit]
-			s.amp[base] = ha0 + ha1
-			s.amp[base|bit] = ha0 - ha1
+		c := sp.U[0][0]
+		for h := 0; h < len(s.amp); h += 2 * bit {
+			lo, hi := s.amp[h:h+bit], s.amp[h+bit:][:bit]
+			for i, a0 := range lo {
+				ha0, ha1 := c*a0, c*hi[i]
+				lo[i] = ha0 + ha1
+				hi[i] = ha0 - ha1
+			}
 		}
 	default:
 		s.Apply1(sp.U, q)
+	}
+}
+
+// scale multiplies a run of amplitudes by c.
+func scale(run []complex128, c complex128) {
+	for i, a := range run {
+		run[i] = c * a
 	}
 }
 
@@ -191,56 +195,54 @@ func (s *State) ApplySpec1(sp *Gate1Spec, q int) {
 // kernel. Results are bit-identical to Apply2(sp.U, qa, qb) up to the
 // sign of exactly-zero amplitudes.
 func (s *State) ApplySpec2(sp *Gate2Spec, qa, qb int) {
-	s.checkQubit(qa)
-	s.checkQubit(qb)
-	if qa == qb {
-		panic("quantum: two-qubit gate on identical qubit")
-	}
+	s.checkPair(qa, qb)
 	ba, bb := 1<<uint(qa), 1<<uint(qb)
-	lo, hi := qa, qb
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	quarter := len(s.amp) >> 2
+	lo, hi := min(ba, bb), max(ba, bb)
 	switch sp.Kind {
 	case Gate2CPhase:
+		// Only the runs with both bits set move; in each higher-qubit
+		// block they start at offset ba+bb, one every 2·lo amplitudes.
 		phase := sp.Vals[3]
-		both := ba | bb
-		if phase == -1 {
-			for k := 0; k < quarter; k++ {
-				i := base2(k, lo, hi) | both
-				s.amp[i] = -s.amp[i]
+		for h := 0; h < len(s.amp); h += 2 * hi {
+			for m := h + ba + bb; m < h+2*hi; m += 2 * lo {
+				run := s.amp[m : m+lo]
+				if phase == -1 {
+					for i, a := range run {
+						run[i] = -a
+					}
+					continue
+				}
+				scale(run, phase)
 			}
-			return
-		}
-		for k := 0; k < quarter; k++ {
-			i := base2(k, lo, hi) | both
-			s.amp[i] = phase * s.amp[i]
 		}
 	case Gate2Diag:
-		for k := 0; k < quarter; k++ {
-			base := base2(k, lo, hi)
-			s.amp[base] = sp.Vals[0] * s.amp[base]
-			s.amp[base|bb] = sp.Vals[1] * s.amp[base|bb]
-			s.amp[base|ba] = sp.Vals[2] * s.amp[base|ba]
-			s.amp[base|ba|bb] = sp.Vals[3] * s.amp[base|ba|bb]
+		v0, v1, v2, v3 := sp.Vals[0], sp.Vals[1], sp.Vals[2], sp.Vals[3]
+		for h := 0; h < len(s.amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				x0, x1, x2, x3 := quad(s.amp, m, ba, bb)
+				scale(x0, v0)
+				scale(x1, v1)
+				scale(x2, v2)
+				scale(x3, v3)
+			}
 		}
 	case Gate2Perm:
-		for k := 0; k < quarter; k++ {
-			base := base2(k, lo, hi)
-			var in [4]complex128
-			in[0] = s.amp[base]
-			in[1] = s.amp[base|bb]
-			in[2] = s.amp[base|ba]
-			in[3] = s.amp[base|ba|bb]
-			var out [4]complex128
-			for c := 0; c < 4; c++ {
-				out[sp.Rows[c]] = sp.Vals[c] * in[c]
+		// Column c of U sends the run x_c to the run x_{Rows[c]}.
+		r0, r1, r2, r3 := sp.Rows[0], sp.Rows[1], sp.Rows[2], sp.Rows[3]
+		v0, v1, v2, v3 := sp.Vals[0], sp.Vals[1], sp.Vals[2], sp.Vals[3]
+		for h := 0; h < len(s.amp); h += 2 * hi {
+			for m := h; m < h+hi; m += 2 * lo {
+				x0, x1, x2, x3 := quad(s.amp, m, ba, bb)
+				x := [4][]complex128{x0, x1, x2, x3}
+				y0, y1, y2, y3 := x[r0][:len(x0)], x[r1][:len(x0)], x[r2][:len(x0)], x[r3][:len(x0)]
+				for i, a0 := range x0 {
+					a1, a2, a3 := x1[i], x2[i], x3[i]
+					y0[i] = v0 * a0
+					y1[i] = v1 * a1
+					y2[i] = v2 * a2
+					y3[i] = v3 * a3
+				}
 			}
-			s.amp[base] = out[0]
-			s.amp[base|bb] = out[1]
-			s.amp[base|ba] = out[2]
-			s.amp[base|ba|bb] = out[3]
 		}
 	default:
 		s.Apply2(sp.U, qa, qb)

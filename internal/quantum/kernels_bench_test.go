@@ -93,13 +93,33 @@ func BenchmarkKernelPermDense(b *testing.B) {
 	}
 }
 
-func BenchmarkKernelMeasure(b *testing.B) {
-	s := benchState()
+// chainQubits is the register width of the fused rz_chain16 program,
+// whose 2^16-amplitude dense sites and measurements dominate its shots.
+const chainQubits = 16
+
+// BenchmarkKernelGeneric2 is the dense 4×4 of a fused CZ+1q site on the
+// pairs (2k+1, 2k) such a chain fuses.
+func BenchmarkKernelGeneric2(b *testing.B) {
+	s := NewState(chainQubits, rand.New(rand.NewSource(1)))
+	s.Apply1(Hadamard, 0)
+	u := CZ.Mul(Kron(GateX90, GateX90))
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		q := i % benchQubits
+		k := i % (chainQubits / 2)
+		s.Apply2(u, 2*k+1, 2*k)
+	}
+}
+
+// BenchmarkKernelMeasure is one projective measurement (the Prob1 scan
+// plus the collapse) on a 16-qubit register.
+func BenchmarkKernelMeasure(b *testing.B) {
+	s := NewState(chainQubits, rand.New(rand.NewSource(1)))
+	for q := 0; q < chainQubits; q++ {
 		s.Apply1(Hadamard, q)
-		s.Measure(q)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		s.Measure(i % chainQubits)
 	}
 }
 

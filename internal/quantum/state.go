@@ -64,96 +64,100 @@ func (s *State) checkQubit(q int) {
 	}
 }
 
-// Apply1 applies the single-qubit operator u to qubit q. The loop
-// enumerates the 2^(n-1) base indices with bit q clear directly rather
-// than scanning the full array and skipping half of it.
+// Apply1 applies the single-qubit operator u to qubit q. The loop walks
+// the blocks of 2·2^q amplitudes: in each, the run with bit q clear and
+// the run with it set pair up element by element.
 func (s *State) Apply1(u Matrix2, q int) {
 	s.checkQubit(q)
+	u00, u01, u10, u11 := u[0][0], u[0][1], u[1][0], u[1][1]
 	bit := 1 << uint(q)
-	half := len(s.amp) >> 1
-	for k := 0; k < half; k++ {
-		base := base1(k, q)
-		a0 := s.amp[base]
-		a1 := s.amp[base|bit]
-		s.amp[base] = u[0][0]*a0 + u[0][1]*a1
-		s.amp[base|bit] = u[1][0]*a0 + u[1][1]*a1
+	for h := 0; h < len(s.amp); h += 2 * bit {
+		lo, hi := s.amp[h:h+bit], s.amp[h+bit:][:bit]
+		for i, a0 := range lo {
+			a1 := hi[i]
+			lo[i] = u00*a0 + u01*a1
+			hi[i] = u10*a0 + u11*a1
+		}
 	}
 }
 
+// quad returns the four runs of the two-qubit block based at m (an
+// index with bits ba and bb clear, and every bit below the lower of the
+// two clear as well): the indices with neither bit set, bb only, ba only
+// and both, in the basis order of a Matrix4 acting on (qa, qb). Each
+// run holds min(ba, bb) amplitudes.
+func quad(amp []complex128, m, ba, bb int) (x0, x1, x2, x3 []complex128) {
+	run := min(ba, bb)
+	x0 = amp[m:][:run]
+	x1 = amp[m+bb:][:run]
+	x2 = amp[m+ba:][:run]
+	x3 = amp[m+ba+bb:][:run]
+	return
+}
+
 // Apply2 applies the two-qubit operator u to qubits (qa, qb), with qa
-// selecting the higher-order bit of u's 2-bit basis label.
+// selecting the higher-order bit of u's 2-bit basis label. The walk
+// nests over the blocks of the higher qubit and then of the lower one,
+// and each amplitude quad gets u's rows as a sum in column order. The
+// sums start from the first product rather than from 0, which can
+// change only the sign of an exactly-zero amplitude.
 func (s *State) Apply2(u Matrix4, qa, qb int) {
+	s.checkPair(qa, qb)
+	u00, u01, u02, u03 := u[0][0], u[0][1], u[0][2], u[0][3]
+	u10, u11, u12, u13 := u[1][0], u[1][1], u[1][2], u[1][3]
+	u20, u21, u22, u23 := u[2][0], u[2][1], u[2][2], u[2][3]
+	u30, u31, u32, u33 := u[3][0], u[3][1], u[3][2], u[3][3]
+	ba, bb := 1<<uint(qa), 1<<uint(qb)
+	lo, hi := min(ba, bb), max(ba, bb)
+	for h := 0; h < len(s.amp); h += 2 * hi {
+		for m := h; m < h+hi; m += 2 * lo {
+			x0, x1, x2, x3 := quad(s.amp, m, ba, bb)
+			for i, a0 := range x0 {
+				a1, a2, a3 := x1[i], x2[i], x3[i]
+				x0[i] = u00*a0 + u01*a1 + u02*a2 + u03*a3
+				x1[i] = u10*a0 + u11*a1 + u12*a2 + u13*a3
+				x2[i] = u20*a0 + u21*a1 + u22*a2 + u23*a3
+				x3[i] = u30*a0 + u31*a1 + u32*a2 + u33*a3
+			}
+		}
+	}
+}
+
+// checkPair validates the operands of a two-qubit gate.
+func (s *State) checkPair(qa, qb int) {
 	s.checkQubit(qa)
 	s.checkQubit(qb)
 	if qa == qb {
 		panic(fmt.Sprintf("quantum: two-qubit gate on identical qubit %d", qa))
 	}
-	ba := 1 << uint(qa)
-	bb := 1 << uint(qb)
-	lo, hi := qa, qb
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	quarter := len(s.amp) >> 2
-	for k := 0; k < quarter; k++ {
-		base := base2(k, lo, hi)
-		var in [4]complex128
-		in[0] = s.amp[base]
-		in[1] = s.amp[base|bb]
-		in[2] = s.amp[base|ba]
-		in[3] = s.amp[base|ba|bb]
-		var out [4]complex128
-		for r := 0; r < 4; r++ {
-			for c := 0; c < 4; c++ {
-				out[r] += u[r][c] * in[c]
-			}
-		}
-		s.amp[base] = out[0]
-		s.amp[base|bb] = out[1]
-		s.amp[base|ba] = out[2]
-		s.amp[base|ba|bb] = out[3]
-	}
 }
 
-// ApplyCZ applies the controlled-phase gate between qa and qb. CZ is
-// diagonal so this avoids the general Apply2 shuffle.
-func (s *State) ApplyCZ(qa, qb int) {
-	s.checkQubit(qa)
-	s.checkQubit(qb)
-	if qa == qb {
-		panic(fmt.Sprintf("quantum: CZ on identical qubit %d", qa))
-	}
-	mask := (1 << uint(qa)) | (1 << uint(qb))
-	lo, hi := qa, qb
-	if lo > hi {
-		lo, hi = hi, lo
-	}
-	quarter := len(s.amp) >> 2
-	for k := 0; k < quarter; k++ {
-		i := base2(k, lo, hi) | mask
-		s.amp[i] = -s.amp[i]
-	}
-}
+// czSpec is CZ's classified kernel: a controlled phase of -1.
+var czSpec = ClassifyGate2(CZ)
+
+// ApplyCZ applies the controlled-phase gate between qa and qb through
+// the CPhase kernel, which negates only the amplitudes with both bits
+// set.
+func (s *State) ApplyCZ(qa, qb int) { s.ApplySpec2(&czSpec, qa, qb) }
 
 // Prob1 returns the probability that measuring qubit q yields 1. The
-// sum runs over the 2^(n-1) set-bit indices directly, in ascending
-// index order (the summation order measurement reproducibility depends
-// on).
+// sum walks the runs with bit q set, in ascending index order (the
+// summation order measurement reproducibility depends on).
 func (s *State) Prob1(q int) float64 {
 	s.checkQubit(q)
 	bit := 1 << uint(q)
-	half := len(s.amp) >> 1
 	var p float64
-	for k := 0; k < half; k++ {
-		a := s.amp[base1(k, q)|bit]
-		p += real(a)*real(a) + imag(a)*imag(a)
+	for h := bit; h < len(s.amp); h += 2 * bit {
+		for _, a := range s.amp[h : h+bit] {
+			p += real(a)*real(a) + imag(a)*imag(a)
+		}
 	}
 	return p
 }
 
 // Measure performs a projective Z-basis measurement of qubit q, collapsing
-// the state, and returns the outcome. The probability scan and the
-// collapse each touch only the 2^(n-1) indices they need.
+// the state, and returns the outcome: one Prob1 scan over the set-bit
+// runs, one collapse pass.
 func (s *State) Measure(q int) int {
 	p1 := s.Prob1(q)
 	outcome := 0
@@ -174,57 +178,49 @@ func projectNorm(keepP float64) complex128 {
 	return complex(1/math.Sqrt(keepP), 0)
 }
 
-// project collapses qubit q onto the given outcome and renormalises in
-// one pass over the 2^(n-1) base indices. p1 is the pre-measurement
-// probability of outcome 1.
+// project collapses qubit q onto the given outcome and renormalises:
+// in each block the kept run is scaled in place and the dropped run is
+// cleared. p1 is the pre-measurement probability of outcome 1.
 func (s *State) project(q, outcome int, p1 float64) {
-	bit := 1 << uint(q)
-	half := len(s.amp) >> 1
 	keepP := p1
 	if outcome == 0 {
 		keepP = 1 - p1
 	}
-	norm := projectNorm(keepP)
-	if outcome == 1 {
-		for k := 0; k < half; k++ {
-			base := base1(k, q)
-			s.amp[base] = 0
-			s.amp[base|bit] *= norm
+	bit := 1 << uint(q)
+	s.collapse(bit, outcome*bit, outcome*bit, projectNorm(keepP))
+}
+
+// collapse walks the blocks of 2·bit amplitudes, writes the run at
+// offset from, scaled by norm, to the run at offset to (each offset is
+// 0 or bit), and clears the other run. The clear rides in the same
+// loop: a separate clear would call memclr once per block, which costs
+// more than the block itself on the low qubits.
+func (s *State) collapse(bit, from, to int, norm complex128) {
+	drop := bit - to
+	for h := 0; h < len(s.amp); h += 2 * bit {
+		src := s.amp[h+from : h+from+bit]
+		dst, dropped := s.amp[h+to:][:len(src)], s.amp[h+drop:][:len(src)]
+		for i, a := range src {
+			dst[i] = a * norm
+			dropped[i] = 0
 		}
-		return
-	}
-	for k := 0; k < half; k++ {
-		base := base1(k, q)
-		s.amp[base] *= norm
-		s.amp[base|bit] = 0
 	}
 }
 
 // ResetQubit projects qubit q to |0> regardless of outcome probability
 // (an idealised unconditional reset, used when initialising by
 // waiting). The collapse projects straight onto |0>: when the sampled
-// outcome is 1, the kept branch is lowered in the same pass instead of
+// outcome is 1, the kept run is lowered in the same pass instead of
 // measuring first and applying X afterwards. The random stream and the
 // resulting state are identical to the measure-then-X formulation.
 func (s *State) ResetQubit(q int) {
 	bit := 1 << uint(q)
-	half := len(s.amp) >> 1
 	p1 := s.Prob1(q)
 	if s.rng.Float64() < p1 {
-		norm := projectNorm(p1)
-		for k := 0; k < half; k++ {
-			base := base1(k, q)
-			s.amp[base] = s.amp[base|bit] * norm
-			s.amp[base|bit] = 0
-		}
+		s.collapse(bit, bit, 0, projectNorm(p1))
 		return
 	}
-	norm := projectNorm(1 - p1)
-	for k := 0; k < half; k++ {
-		base := base1(k, q)
-		s.amp[base] *= norm
-		s.amp[base|bit] = 0
-	}
+	s.collapse(bit, 0, 0, projectNorm(1-p1))
 }
 
 // AmplitudeDamp applies the amplitude-damping channel (T1 relaxation) with
