@@ -31,6 +31,7 @@ import (
 	"eqasm/internal/core"
 	"eqasm/internal/dse"
 	"eqasm/internal/experiments"
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/plan"
@@ -44,18 +45,21 @@ import (
 
 // fig7Schedules caches the three benchmark schedules (RB reduced to 512
 // Cliffords per qubit; all Fig. 7 ratios are size independent).
-var fig7Schedules = func() map[string]*compiler.Schedule {
-	circuits, order := dse.BenchmarkSet(512)
-	out := map[string]*compiler.Schedule{}
-	for _, name := range order {
-		s, err := compiler.ASAP(circuits[name])
-		if err != nil {
+var fig7Schedules = func() map[string]*ir.Program {
+	circuits, _ := dse.BenchmarkSet(512)
+	for _, p := range circuits {
+		if err := scheduleASAP(p); err != nil {
 			panic(err)
 		}
-		out[name] = s
 	}
-	return out
+	return circuits
 }()
+
+// scheduleASAP runs the validate and ASAP scheduling passes over p in
+// place.
+func scheduleASAP(p *ir.Program) error {
+	return (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP()).Run(p)
+}
 
 func BenchmarkFig7_Count(b *testing.B) {
 	cases := []struct {
@@ -347,8 +351,8 @@ func BenchmarkIQPE(b *testing.B) {
 // quantum error correction benefits most from SOMQ: repeated syndrome
 // extraction on the surface-17 chip.
 func BenchmarkQECSOMQBenefit(b *testing.B) {
-	s, err := compiler.ASAP(benchmarks.QEC(20))
-	if err != nil {
+	s := benchmarks.QEC(20)
+	if err := scheduleASAP(s); err != nil {
 		b.Fatal(err)
 	}
 	var reduction float64
@@ -547,9 +551,9 @@ func BenchmarkServiceSubmitLatency(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/float64(b.N), "us/job")
 }
 
-// cqasmSource renders a compiler circuit as cQASM subset text (the
-// inverse of the front end, for benchmark inputs).
-func cqasmSource(b *testing.B, c *compiler.Circuit) string {
+// cqasmSource renders a circuit as cQASM subset text (the inverse of
+// the front end, for benchmark inputs).
+func cqasmSource(b *testing.B, c *ir.Program) string {
 	b.Helper()
 	names := map[string]string{
 		"I": "i", "X": "x", "Y": "y", "Z": "z", "H": "h", "S": "s", "T": "t",
@@ -604,9 +608,9 @@ func BenchmarkCompileCircuit(b *testing.B) {
 	})
 }
 
-// openqasmSource renders a compiler circuit as OpenQASM 2.0 text, the
-// same workload cqasmSource spells in the other front-end syntax.
-func openqasmSource(b *testing.B, c *compiler.Circuit) string {
+// openqasmSource renders a circuit as OpenQASM 2.0 text, the same
+// workload cqasmSource spells in the other front-end syntax.
+func openqasmSource(b *testing.B, c *ir.Program) string {
 	b.Helper()
 	names := map[string]string{
 		"I": "id", "X": "x", "Y": "y", "Z": "z", "H": "h", "S": "s", "T": "t",

@@ -16,9 +16,10 @@ package main
 import (
 	"flag"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
-
+	"slices"
 	"strings"
 
 	"eqasm/internal/benchmarks"
@@ -56,20 +57,20 @@ func main() {
 			os.Exit(1)
 		}
 		name := filepath.Base(*circuitPath)
-		table, err := dse.ForCircuit(name, compiler.FromIR(p))
+		table, err := dse.ForCircuit(name, p)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "eqasm-dse:", err)
 			os.Exit(1)
 		}
 		fmt.Print(table.Render())
-		s := table.Schedules[name]
 		fmt.Printf("%s: %d gates, gates/point=%.2f, length=%d cycles\n",
-			name, len(s.Gates), s.ParallelismProfile(), s.LengthCycles)
+			name, len(p.Gates), gatesPerPoint(table, name), p.Length)
 		return
 	}
 
 	if *qec {
-		s, err := compiler.ASAP(benchmarks.QEC(20))
+		s := benchmarks.QEC(20)
+		err := (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP()).Run(s)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "eqasm-dse:", err)
 			os.Exit(1)
@@ -105,13 +106,20 @@ func main() {
 		fmt.Println("-- benchmark profiles --")
 		for _, name := range []string{"RB", "IM", "SR"} {
 			s := table.Schedules[name]
-			fmt.Printf("%s: gates/point=%.2f length=%d cycles\n", name, s.ParallelismProfile(), s.LengthCycles)
+			fmt.Printf("%s: gates/point=%.2f length=%d cycles\n", name, gatesPerPoint(table, name), s.Length)
 			ih := compiler.IntervalHistogram(s)
 			fmt.Printf("  intervals:")
-			for _, k := range compiler.SortedKeys(ih) {
+			for _, k := range slices.Sorted(maps.Keys(ih)) {
 				fmt.Printf(" %d:%d", k, ih[k])
 			}
 			fmt.Println()
 		}
 	}
+}
+
+// gatesPerPoint reads a benchmark's mean gates per timing point off its
+// Config1 w=1 baseline count.
+func gatesPerPoint(t *dse.Table, name string) float64 {
+	c, _ := t.Lookup(name, "Config1", 1)
+	return c.Result.GatesPerPoint()
 }

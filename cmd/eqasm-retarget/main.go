@@ -52,9 +52,11 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	dst := &compiler.Emitter{Config: cfg, Topo: dstTopo, Inst: dstInst}
-	out, err := compiler.Retarget(prog, cfg, srcTopo, dst, qmap,
-		compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: *initWait})
+	arch := compiler.DefaultArch(dstInst)
+	arch.SOMQ = true
+	dst := compiler.PipelineConfig{Config: cfg, Topo: dstTopo, Inst: dstInst, Arch: arch,
+		InitWaitCycles: *initWait, AppendStop: true}
+	out, err := compiler.Retarget(prog, cfg, srcTopo, dst, qmap)
 	if err != nil {
 		fatal(err)
 	}

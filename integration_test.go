@@ -14,6 +14,7 @@ import (
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
 	"eqasm/internal/core"
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
@@ -22,27 +23,45 @@ import (
 
 // randomCircuit draws a unitary circuit (no measurements) over the
 // two-qubit chip's qubits {0, 2}.
-func randomCircuit(rng *rand.Rand, gates int) *compiler.Circuit {
+func randomCircuit(rng *rand.Rand, gates int) *ir.Program {
 	names := []string{"X", "Y", "X90", "Y90", "Xm90", "Ym90", "H", "S", "T"}
-	c := &compiler.Circuit{NumQubits: 3}
+	c := &ir.Program{NumQubits: 3}
 	for i := 0; i < gates; i++ {
 		if rng.Intn(5) == 0 {
 			pair := [][2]int{{2, 0}, {0, 2}}[rng.Intn(2)]
-			c.Gates = append(c.Gates, compiler.Gate{Name: "CZ", Qubits: []int{pair[0], pair[1]}})
+			c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{pair[0], pair[1]}})
 		} else {
 			q := []int{0, 2}[rng.Intn(2)]
-			c.Gates = append(c.Gates, compiler.Gate{Name: names[rng.Intn(len(names))], Qubits: []int{q}})
+			c.Gates = append(c.Gates, ir.Gate{Name: names[rng.Intn(len(names))], Qubits: []int{q}})
 		}
 	}
 	return c
 }
 
+// compileFor drives a circuit through the executable pipeline for the
+// chip under its instantiation's architecture with SOMQ and a trailing
+// STOP, leaving the schedule and the code on the program.
+func compileFor(p *ir.Program, cfg *isa.OpConfig, topo *topology.Topology, inst isa.Instantiation, initWait int) (*isa.Program, error) {
+	arch := compiler.DefaultArch(inst)
+	arch.SOMQ = true
+	pl, err := compiler.NewPipeline(compiler.PipelineConfig{Config: cfg, Topo: topo, Inst: inst,
+		Arch: arch, InitWaitCycles: initWait, AppendStop: true})
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Run(p); err != nil {
+		return nil, err
+	}
+	return p.Code, nil
+}
+
 // referenceState simulates the scheduled circuit directly, bypassing the
 // whole control stack.
-func referenceState(t *testing.T, cfg *isa.OpConfig, s *compiler.Schedule) *quantum.State {
+func referenceState(t *testing.T, cfg *isa.OpConfig, s *ir.Program) *quantum.State {
 	t.Helper()
 	st := quantum.NewState(3, rand.New(rand.NewSource(1)))
-	for _, g := range s.Gates {
+	for _, i := range s.Order {
+		g := s.Gates[i]
 		def, ok := cfg.ByName(g.Name)
 		if !ok {
 			t.Fatalf("unknown op %q", g.Name)
@@ -62,19 +81,14 @@ func referenceState(t *testing.T, cfg *isa.OpConfig, s *compiler.Schedule) *quan
 func TestCompiledExecutionMatchesDirectSimulation(t *testing.T) {
 	cfg := isa.DefaultConfig()
 	topo := topology.TwoQubit()
-	emitter := compiler.NewEmitter(cfg, topo)
 
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%30 + 3
 		circ := randomCircuit(rng, n)
-		sched, err := compiler.ASAP(circ)
+		prog, err := compileFor(circ, cfg, topo, isa.Default, 0)
 		if err != nil {
-			return false
-		}
-		prog, err := emitter.Emit(sched, compiler.EmitOptions{SOMQ: true, AppendStop: true})
-		if err != nil {
-			t.Logf("emit: %v", err)
+			t.Logf("compile: %v", err)
 			return false
 		}
 		// Through the binary, like a real upload.
@@ -96,7 +110,7 @@ func TestCompiledExecutionMatchesDirectSimulation(t *testing.T) {
 			return false
 		}
 		got := m.Backend().(*quantum.SVBackend).State
-		want := referenceState(t, cfg, sched)
+		want := referenceState(t, cfg, circ)
 		return got.Fidelity(want) > 1-1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
@@ -314,31 +328,27 @@ func TestSurface17QECCycleExecution(t *testing.T) {
 		circ := benchmarks.QEC(1)
 		if injectOn >= 0 {
 			// Prepend the error.
-			withErr := &compiler.Circuit{NumQubits: circ.NumQubits}
+			withErr := &ir.Program{NumQubits: circ.NumQubits}
 			withErr.Gates = append(withErr.Gates,
-				compiler.Gate{Name: "X", Qubits: []int{injectOn}})
+				ir.Gate{Name: "X", Qubits: []int{injectOn}})
 			withErr.Gates = append(withErr.Gates, circ.Gates...)
 			circ = withErr
 		}
-		sched, err := compiler.ASAP(circ)
-		if err != nil {
-			t.Fatal(err)
-		}
-		em := &compiler.Emitter{Config: cfg, Topo: topo, Inst: isa.Surface17Instantiation()}
+		inst := isa.Surface17Instantiation()
 		// The initialisation wait gives the pipeline reservation headroom:
 		// the SOMQ-split SMIT updates make this workload denser than the
 		// sustainable issue rate, the exact R_req > R_allowed effect of
 		// Section 1.2 (TestIssueRateViolation exercises the failure mode).
-		prog, err := em.Emit(sched, compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 100})
+		prog, err := compileFor(circ, cfg, topo, inst, 100)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Round-trip through the Surface-17 binary (pair-list SMIT).
-		words, err := em.Inst.EncodeProgram(prog, cfg)
+		words, err := inst.EncodeProgram(prog, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		back, err := em.Inst.DecodeProgram(words, cfg)
+		back, err := inst.DecodeProgram(words, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -19,7 +19,7 @@ import (
 	"fmt"
 	"math/rand"
 
-	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 	"eqasm/internal/quantum"
 	"eqasm/internal/topology"
 )
@@ -28,13 +28,13 @@ import (
 // Cliffords per qubit, each decomposed to primitive x/y rotations
 // (1.875 primitives per Clifford on average), running on all qubits
 // simultaneously with no idling.
-func RB(numQubits, cliffords int, seed int64) *compiler.Circuit {
+func RB(numQubits, cliffords int, seed int64) *ir.Program {
 	rng := rand.New(rand.NewSource(seed))
-	c := &compiler.Circuit{Name: "RB", NumQubits: numQubits}
+	c := &ir.Program{Name: "RB", NumQubits: numQubits}
 	for q := 0; q < numQubits; q++ {
 		seq := quantum.NewRBSequence(cliffords-1, rng) // +1 recovery = cliffords total
 		for _, name := range seq.Primitives() {
-			c.Gates = append(c.Gates, compiler.Gate{Name: name, Qubits: []int{q}})
+			c.Gates = append(c.Gates, ir.Gate{Name: name, Qubits: []int{q}})
 		}
 	}
 	return c
@@ -78,9 +78,9 @@ func DefaultIM() IMConfig {
 // IM generates the Ising-model circuit: trotterized evolution with
 // transverse-field x rotations and site-dependent z rotations of varying
 // pulse length, plus rare nearest-neighbour entangling gates.
-func IM(cfg IMConfig) *compiler.Circuit {
+func IM(cfg IMConfig) *ir.Program {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	c := &compiler.Circuit{Name: "IM", NumQubits: cfg.NumQubits}
+	c := &ir.Program{Name: "IM", NumQubits: cfg.NumQubits}
 	layer := func(axis string) {
 		for q := 0; q < cfg.NumQubits; q++ {
 			k := rng.Intn(cfg.AnglesPerAxis)
@@ -88,7 +88,7 @@ func IM(cfg IMConfig) *compiler.Circuit {
 			if k < len(cfg.AngleDurations) {
 				dur = cfg.AngleDurations[k]
 			}
-			c.Gates = append(c.Gates, compiler.Gate{
+			c.Gates = append(c.Gates, ir.Gate{
 				Name:           fmt.Sprintf("R%s%d", axis, k),
 				Qubits:         []int{q},
 				DurationCycles: dur,
@@ -100,7 +100,7 @@ func IM(cfg IMConfig) *compiler.Circuit {
 		layer("Z")
 		if rng.Float64() < cfg.CZRate {
 			a := rng.Intn(cfg.NumQubits - 1)
-			c.Gates = append(c.Gates, compiler.Gate{Name: "CZ", Qubits: []int{a, a + 1}})
+			c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{a, a + 1}})
 		}
 	}
 	return c
@@ -129,13 +129,13 @@ func DefaultSR() SRConfig {
 // would benefit significantly from SOMQ is quantum error correction,
 // which requires performing well-patterned error syndrome measurements
 // repeatedly presenting high parallelism."
-func QEC(cycles int) *compiler.Circuit {
+func QEC(cycles int) *ir.Program {
 	topo := topology.Surface17()
-	c := &compiler.Circuit{Name: "QEC", NumQubits: topo.NumQubits}
+	c := &ir.Program{Name: "QEC", NumQubits: topo.NumQubits}
 	ancillas := []int{9, 10, 11, 12, 13, 14, 15, 16}
 	hAll := func() {
 		for _, a := range ancillas {
-			c.Gates = append(c.Gates, compiler.Gate{Name: "H", Qubits: []int{a}})
+			c.Gates = append(c.Gates, ir.Gate{Name: "H", Qubits: []int{a}})
 		}
 	}
 	// Edge-colour the ancilla-data couplings so each interaction layer
@@ -174,21 +174,21 @@ func QEC(cycles int) *compiler.Circuit {
 				busy := false
 				for _, d := range topo.Neighbors(a) {
 					if colourOf[coupling{a, d}] == col {
-						c.Gates = append(c.Gates, compiler.Gate{Name: "CZ", Qubits: []int{a, d}})
+						c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{a, d}})
 						busy = true
 					}
 				}
 				if !busy {
 					// Idle padding keeps the ancillas in lockstep through
 					// the dance, as the hardware schedule does.
-					c.Gates = append(c.Gates, compiler.Gate{Name: "I", Qubits: []int{a},
-						DurationCycles: compiler.DefaultTwoCycles})
+					c.Gates = append(c.Gates, ir.Gate{Name: "I", Qubits: []int{a},
+						DurationCycles: ir.DefaultTwoCycles})
 				}
 			}
 		}
 		hAll()
 		for _, a := range ancillas {
-			c.Gates = append(c.Gates, compiler.Gate{Name: "MEASZ",
+			c.Gates = append(c.Gates, ir.Gate{Name: "MEASZ",
 				Qubits: []int{a}, Measure: true})
 		}
 	}
@@ -201,18 +201,18 @@ func QEC(cycles int) *compiler.Circuit {
 // implemented through a Toffoli ladder over ancilla qubits. Toffolis use
 // the standard 15-gate {H, T, Tdg, CNOT} decomposition (6 CNOTs and 9
 // single-qubit gates, yielding the ~39%-sequential mix).
-func SR(cfg SRConfig) *compiler.Circuit {
+func SR(cfg SRConfig) *ir.Program {
 	n := cfg.SearchQubits
 	anc := n - 2
-	c := &compiler.Circuit{Name: "SR", NumQubits: n + anc}
+	c := &ir.Program{Name: "SR", NumQubits: n + anc}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 
-	h := func(q int) { c.Gates = append(c.Gates, compiler.Gate{Name: "H", Qubits: []int{q}}) }
-	x := func(q int) { c.Gates = append(c.Gates, compiler.Gate{Name: "X", Qubits: []int{q}}) }
-	t := func(q int) { c.Gates = append(c.Gates, compiler.Gate{Name: "T", Qubits: []int{q}}) }
-	tdg := func(q int) { c.Gates = append(c.Gates, compiler.Gate{Name: "Tdg", Qubits: []int{q}}) }
+	h := func(q int) { c.Gates = append(c.Gates, ir.Gate{Name: "H", Qubits: []int{q}}) }
+	x := func(q int) { c.Gates = append(c.Gates, ir.Gate{Name: "X", Qubits: []int{q}}) }
+	t := func(q int) { c.Gates = append(c.Gates, ir.Gate{Name: "T", Qubits: []int{q}}) }
+	tdg := func(q int) { c.Gates = append(c.Gates, ir.Gate{Name: "Tdg", Qubits: []int{q}}) }
 	cnot := func(a, b int) {
-		c.Gates = append(c.Gates, compiler.Gate{Name: "CNOT", Qubits: []int{a, b}})
+		c.Gates = append(c.Gates, ir.Gate{Name: "CNOT", Qubits: []int{a, b}})
 	}
 	toffoli := func(a, b, tq int) {
 		h(tq)
@@ -238,7 +238,7 @@ func SR(cfg SRConfig) *compiler.Circuit {
 		for k := 0; k < anc-1; k++ {
 			toffoli(k+2, n+k, n+k+1)
 		}
-		c.Gates = append(c.Gates, compiler.Gate{Name: "CZ", Qubits: []int{n - 1, n + anc - 1}})
+		c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{n - 1, n + anc - 1}})
 		for k := anc - 2; k >= 0; k-- {
 			toffoli(k+2, n+k, n+k+1)
 		}
@@ -274,7 +274,7 @@ func SR(cfg SRConfig) *compiler.Circuit {
 		}
 	}
 	for q := 0; q < n; q++ {
-		c.Gates = append(c.Gates, compiler.Gate{Name: "MEASZ", Qubits: []int{q}, Measure: true})
+		c.Gates = append(c.Gates, ir.Gate{Name: "MEASZ", Qubits: []int{q}, Measure: true})
 	}
 	return c
 }

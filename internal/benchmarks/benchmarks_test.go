@@ -5,14 +5,38 @@ import (
 	"testing"
 
 	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 )
+
+// schedule validates p, schedules it ASAP and packs its timing points
+// (counting mode, no SOMQ), in place.
+func schedule(t *testing.T, p *ir.Program) *ir.Program {
+	t.Helper()
+	pl := (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP(),
+		compiler.PassPack(nil, nil, false))
+	if err := pl.Run(p); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// gatesPerPoint is the mean number of gates per timing point of a
+// scheduled program.
+func gatesPerPoint(t *testing.T, p *ir.Program) float64 {
+	t.Helper()
+	r, err := compiler.Count(p, compiler.Config1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r.GatesPerPoint()
+}
 
 func TestRBShape(t *testing.T) {
 	c := RB(7, 256, 1)
 	if c.NumQubits != 7 {
 		t.Fatalf("qubits = %d", c.NumQubits)
 	}
-	st := c.Stats()
+	st := compiler.GateStats(c)
 	if st.TwoQ != 0 {
 		t.Fatalf("RB has %d two-qubit gates, want 0", st.TwoQ)
 	}
@@ -22,16 +46,13 @@ func TestRBShape(t *testing.T) {
 		t.Fatalf("primitives per Clifford = %v", perClifford)
 	}
 	// Back-to-back execution: every interval is one cycle.
-	s, err := compiler.ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := schedule(t, c)
 	for k := range compiler.IntervalHistogram(s) {
 		if k != 1 {
 			t.Fatalf("RB interval %d, want all 1", k)
 		}
 	}
-	if p := s.ParallelismProfile(); p < 6.5 || p > 7 {
+	if p := gatesPerPoint(t, s); p < 6.5 || p > 7 {
 		t.Fatalf("RB parallelism = %v, want ~7", p)
 	}
 }
@@ -67,15 +88,12 @@ func TestRBDeterministicBySeed(t *testing.T) {
 // per timing point with intervals of mostly one cycle.
 func TestIMProfile(t *testing.T) {
 	c := IM(DefaultIM())
-	st := c.Stats()
+	st := compiler.GateStats(c)
 	if st.TwoQFrac >= 0.01 {
 		t.Fatalf("IM two-qubit fraction = %.3f, want < 1%%", st.TwoQFrac)
 	}
-	s, err := compiler.ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := s.ParallelismProfile(); p < 2.0 || p > 3.5 {
+	s := schedule(t, c)
+	if p := gatesPerPoint(t, s); p < 2.0 || p > 3.5 {
 		t.Fatalf("IM parallelism = %.2f, want ~2.6", p)
 	}
 	ih := compiler.IntervalHistogram(s)
@@ -95,35 +113,32 @@ func TestSRProfile(t *testing.T) {
 	if c.NumQubits != 8 {
 		t.Fatalf("SR qubits = %d, want 8", c.NumQubits)
 	}
-	st := c.Stats()
+	st := compiler.GateStats(c)
 	if st.TwoQFrac < 0.34 || st.TwoQFrac > 0.44 {
 		t.Fatalf("SR two-qubit fraction = %.3f, want ~0.39", st.TwoQFrac)
 	}
-	s, err := compiler.ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := s.ParallelismProfile(); p > 1.7 {
+	s := schedule(t, c)
+	if p := gatesPerPoint(t, s); p > 1.7 {
 		t.Fatalf("SR parallelism = %.2f, want sequential (< 1.7)", p)
 	}
 }
 
 func TestSRValidates(t *testing.T) {
 	c := SR(SRConfig{SearchQubits: 4, Iterations: 2, Seed: 1})
-	if err := c.Validate(); err != nil {
+	if err := compiler.PassValidate().Run(c); err != nil {
 		t.Fatal(err)
 	}
 	if c.NumQubits != 6 {
 		t.Fatalf("4 search qubits need 2 ancillas: got %d total", c.NumQubits)
 	}
-	st := c.Stats()
+	st := compiler.GateStats(c)
 	if st.Measures != 4 {
 		t.Fatalf("measures = %d", st.Measures)
 	}
 }
 
 func TestIMValidates(t *testing.T) {
-	if err := IM(DefaultIM()).Validate(); err != nil {
+	if err := compiler.PassValidate().Run(IM(DefaultIM())); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -131,15 +146,8 @@ func TestIMValidates(t *testing.T) {
 // Section 4.2's QEC claim: error-syndrome extraction is the workload SOMQ
 // helps most. The reduction must clearly exceed what SOMQ gives IM.
 func TestQECSOMQBenefit(t *testing.T) {
-	qec := QEC(20)
-	if err := qec.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	sQEC, err := compiler.ASAP(qec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reduction := func(s *compiler.Schedule) float64 {
+	sQEC := schedule(t, QEC(20))
+	reduction := func(s *ir.Program) float64 {
 		plain, err1 := compiler.Count(s, compiler.Config5.WithWidth(1))
 		somq, err2 := compiler.Count(s, compiler.Config9.WithWidth(1))
 		if err1 != nil || err2 != nil {
@@ -151,11 +159,7 @@ func TestQECSOMQBenefit(t *testing.T) {
 	if rQEC < 0.5 {
 		t.Fatalf("QEC SOMQ reduction = %.2f, want > 0.5 (highly patterned parallelism)", rQEC)
 	}
-	sIM, err := compiler.ASAP(IM(DefaultIM()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rIM := reduction(sIM)
+	rIM := reduction(schedule(t, IM(DefaultIM())))
 	if rQEC <= rIM {
 		t.Fatalf("QEC SOMQ reduction %.2f should exceed IM's %.2f", rQEC, rIM)
 	}
@@ -165,18 +169,14 @@ func TestQECSOMQBenefit(t *testing.T) {
 // SOMQ operations; CZ layers combine into multi-pair target registers.
 func TestQECStructure(t *testing.T) {
 	qec := QEC(1)
-	st := qec.Stats()
+	st := compiler.GateStats(qec)
 	if st.Measures != 8 {
 		t.Fatalf("measures = %d, want 8 ancillas", st.Measures)
 	}
 	if st.TwoQ != 24 {
 		t.Fatalf("CZ count = %d, want 24 (one per coupling)", st.TwoQ)
 	}
-	s, err := compiler.ASAP(qec)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r, err := compiler.Count(s, compiler.Config9.WithWidth(2))
+	r, err := compiler.Count(schedule(t, qec), compiler.Config9.WithWidth(2))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -138,6 +138,15 @@ func (r CountResult) OpsPerBundle() float64 {
 	return float64(r.EffectiveOps) / float64(r.BundleWords)
 }
 
+// GatesPerPoint is the mean number of gates per timing point, the
+// parallelism statistic that separates RB/IM from SR in Section 4.2.
+func (r CountResult) GatesPerPoint() float64 {
+	if r.Points == 0 {
+		return 0
+	}
+	return float64(r.RawGates) / float64(r.Points)
+}
+
 // Counter is the Fig. 7 instruction-count observer: attached after the
 // pack pass, it sizes the eQASM program a packed schedule compiles to
 // under one architecture configuration, following the paper's analysis
@@ -210,17 +219,18 @@ func (c *Counter) Observe(p *ir.Program) error {
 	return nil
 }
 
-// Count sizes the eQASM program a schedule compiles to under the given
-// architecture options. It delegates to the pipeline's pack pass with a
-// Counter observer, kept as an entry point so pre-pipeline callers (the
-// dse package, benchmarks) compile unchanged.
-func Count(s *Schedule, opt Options) (CountResult, error) {
+// Count sizes the eQASM program a scheduled program compiles to under
+// the given architecture options: the pack pass runs on a shallow copy
+// with a Counter observer, so p itself is left unchanged and one
+// schedule can be counted across the whole configuration grid.
+func Count(p *ir.Program, opt Options) (CountResult, error) {
 	if err := opt.Validate(); err != nil {
 		return CountResult{}, err
 	}
 	ctr := &Counter{Opt: opt}
+	scratch := *p
 	pl := (&Pipeline{}).Append(PassPack(nil, nil, opt.SOMQ)).Observe(ctr.Observer())
-	if err := pl.Run(s.ir()); err != nil {
+	if err := pl.Run(&scratch); err != nil {
 		return CountResult{}, err
 	}
 	return ctr.Result, nil
@@ -228,18 +238,46 @@ func Count(s *Schedule, opt Options) (CountResult, error) {
 
 func ceilDiv(a, b int64) int64 { return (a + b - 1) / b }
 
-// SweepWidths runs Count for each width, the inner loop of Fig. 7.
-func SweepWidths(s *Schedule, base Options, widths []int) (map[int]CountResult, error) {
-	out := make(map[int]CountResult, len(widths))
-	for _, w := range widths {
-		if base.Spec == TS2 && w < 2 {
-			continue
-		}
-		r, err := Count(s, base.WithWidth(w))
-		if err != nil {
-			return nil, err
-		}
-		out[w] = r
+// IntervalHistogram reports the distribution of intervals between a
+// packed program's timing points, the quantity that determines which PI
+// width suffices (Section 4.2: "most of the waiting time is short and
+// can be encoded in a 3-bit PI field").
+func IntervalHistogram(p *ir.Program) map[int64]int {
+	h := map[int64]int{}
+	for i := 1; i < len(p.Points); i++ {
+		h[p.Points[i].Cycle-p.Points[i-1].Cycle]++
 	}
-	return out, nil
+	return h
+}
+
+// Stats summarises a circuit's gate mix.
+type Stats struct {
+	Total     int
+	SingleQ   int
+	TwoQ      int
+	Measures  int
+	TwoQFrac  float64
+	GateNames map[string]int
+}
+
+// GateStats computes the gate mix of a program's circuit (the quantity
+// the paper quotes: IM has <1% two-qubit gates, SR ~39%).
+func GateStats(p *ir.Program) Stats {
+	s := Stats{GateNames: map[string]int{}}
+	for _, g := range p.Gates {
+		s.Total++
+		s.GateNames[g.Name]++
+		switch {
+		case g.Measure:
+			s.Measures++
+		case g.IsTwoQubit():
+			s.TwoQ++
+		default:
+			s.SingleQ++
+		}
+	}
+	if s.Total > 0 {
+		s.TwoQFrac = float64(s.TwoQ) / float64(s.Total)
+	}
+	return s
 }

@@ -1,17 +1,20 @@
 package compiler
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+
+	"eqasm/internal/ir"
 )
 
 func TestCircuitStats(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("X", 0), lin("X", 1),
 		{Name: "CZ", Qubits: []int{0, 1}},
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 	}}
-	st := c.Stats()
+	st := GateStats(c)
 	if st.Total != 4 || st.SingleQ != 2 || st.TwoQ != 1 || st.Measures != 1 {
 		t.Fatalf("stats: %+v", st)
 	}
@@ -21,7 +24,7 @@ func TestCircuitStats(t *testing.T) {
 	if st.GateNames["X"] != 2 {
 		t.Fatalf("name histogram: %v", st.GateNames)
 	}
-	if empty := (&Circuit{}).Stats(); empty.Total != 0 || empty.TwoQFrac != 0 {
+	if empty := GateStats(&ir.Program{}); empty.Total != 0 || empty.TwoQFrac != 0 {
 		t.Fatalf("empty stats: %+v", empty)
 	}
 }
@@ -46,94 +49,50 @@ func TestOptionStrings(t *testing.T) {
 	}
 }
 
-func TestSweepWidths(t *testing.T) {
-	c := &Circuit{NumQubits: 2, Gates: []Gate{
-		lin("X", 0), lin("Y", 1), lin("X", 0), lin("Y", 1),
-	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := SweepWidths(s, Config1, []int{1, 2, 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res) != 3 {
-		t.Fatalf("sweep returned %d widths", len(res))
-	}
-	if res[1].Instructions < res[2].Instructions {
-		t.Fatal("width 2 should not need more instructions than width 1")
-	}
-	// ts2 skips width 1.
-	res, err = SweepWidths(s, Config2, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := res[1]; ok {
-		t.Fatal("ts2 at width 1 should be skipped")
-	}
-	if r := res[2]; r.OpsPerBundle() <= 0 {
-		t.Fatalf("ops/bundle = %v", r.OpsPerBundle())
-	}
-}
-
-func TestHistogramsAndSortedKeys(t *testing.T) {
-	c := &Circuit{NumQubits: 2, Gates: []Gate{
+func TestIntervalHistogram(t *testing.T) {
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		lin("X", 0), lin("Y", 1), // point 0: 2 gates
 		{Name: "CZ", Qubits: []int{0, 1}}, // point 1
 		lin("X", 0),                       // point 3 (CZ lasts 2)
 	}}
-	s, err := ASAP(c)
-	if err != nil {
+	s := asap(t, c)
+	if err := PassPack(nil, nil, false).Run(s); err != nil {
 		t.Fatal(err)
 	}
-	ps := PointSizeHistogram(s)
-	if ps[2] != 1 || ps[1] != 2 {
-		t.Fatalf("point sizes: %v", ps)
-	}
 	ih := IntervalHistogram(s)
-	if ih[1] != 1 || ih[2] != 1 {
+	if len(ih) != 2 || ih[1] != 1 || ih[2] != 1 {
 		t.Fatalf("intervals: %v", ih)
 	}
-	keys := SortedKeys(ih)
-	if len(keys) != 2 || keys[0] != 1 || keys[1] != 2 {
-		t.Fatalf("sorted keys: %v", keys)
+	if r := mustCount(t, s, Config1); r.Points != 3 || r.GatesPerPoint() != 4.0/3 {
+		t.Fatalf("points = %d, gates/point = %v", r.Points, r.GatesPerPoint())
 	}
-	ki := SortedKeys(ps)
-	if len(ki) != 2 || ki[0] != 1 || ki[1] != 2 {
-		t.Fatalf("sorted int keys: %v", ki)
+}
+
+// Count packs a copy: counting one scheduled (here also packed)
+// program under one configuration must not leak into the next, since
+// the design-space exploration counts one program across the whole
+// grid.
+func TestCountLeavesProgramUnchanged(t *testing.T) {
+	build := func() *ir.Program {
+		p := asap(t, randomCountCircuit(9))
+		if err := PassPack(nil, nil, false).Run(p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	p, want := build(), build()
+	mustCount(t, p, Config1.WithWidth(1))
+	got := mustCount(t, p, Config9.WithWidth(2))
+	if fresh := mustCount(t, build(), Config9.WithWidth(2)); got != fresh {
+		t.Fatalf("second count %+v, fresh count %+v", got, fresh)
+	}
+	if !reflect.DeepEqual(p, want) {
+		t.Fatal("Count changed the program's gates, schedule or points")
 	}
 }
 
 func TestSymmetricGate(t *testing.T) {
 	if !symmetricGate("CZ") || symmetricGate("CNOT") {
 		t.Fatal("CZ is symmetric, CNOT is not")
-	}
-}
-
-func TestGanttRenderer(t *testing.T) {
-	c := &Circuit{NumQubits: 2, Gates: []Gate{
-		lin("X", 0),
-		{Name: "CZ", Qubits: []int{0, 1}},
-		lin("H", 1),
-	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	out := s.Gantt(0)
-	if !strings.Contains(out, "q0 ") || !strings.Contains(out, "q1 ") {
-		t.Fatalf("missing rows:\n%s", out)
-	}
-	// q0: X at 0, CZ at 1-2, idle at 3; q1: idle, CZ, then H.
-	if !strings.Contains(out, "|XCC.|") {
-		t.Fatalf("q0 row wrong:\n%s", out)
-	}
-	if !strings.Contains(out, "|.CCH|") {
-		t.Fatalf("q1 row wrong:\n%s", out)
-	}
-	// Truncation works.
-	if short := s.Gantt(2); !strings.Contains(short, "|XC|") {
-		t.Fatalf("truncated render wrong:\n%s", short)
 	}
 }

@@ -3,54 +3,75 @@ package compiler
 import (
 	"testing"
 	"testing/quick"
+
+	"eqasm/internal/ir"
 )
 
-func lin(name string, qs ...int) Gate { return Gate{Name: name, Qubits: qs} }
+func lin(name string, qs ...int) ir.Gate { return ir.Gate{Name: name, Qubits: qs} }
 
-func TestASAPSequentialChain(t *testing.T) {
-	c := &Circuit{NumQubits: 1, Gates: []Gate{lin("X", 0), lin("Y", 0), lin("Z", 0)}}
-	s, err := ASAP(c)
+// schedule runs the validate and ASAP (or ALAP) passes over p in place.
+func schedule(p *ir.Program, alap bool) error {
+	pass := PassScheduleASAP()
+	if alap {
+		pass = PassScheduleALAP()
+	}
+	return (&Pipeline{}).Append(PassValidate(), pass).Run(p)
+}
+
+// asap schedules p as soon as possible, failing the test on error.
+func asap(t *testing.T, p *ir.Program) *ir.Program {
+	t.Helper()
+	if err := schedule(p, false); err != nil {
+		t.Fatal(err)
+	}
+	return p
+}
+
+// mustCount sizes p under opt, failing the test on error.
+func mustCount(t *testing.T, p *ir.Program, opt Options) CountResult {
+	t.Helper()
+	r, err := Count(p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, g := range s.Gates {
-		if g.Start != int64(i) {
-			t.Errorf("gate %d starts at %d, want %d", i, g.Start, i)
+	return r
+}
+
+func TestASAPSequentialChain(t *testing.T) {
+	c := &ir.Program{NumQubits: 1, Gates: []ir.Gate{lin("X", 0), lin("Y", 0), lin("Z", 0)}}
+	s := asap(t, c)
+	for i, start := range s.Starts {
+		if start != int64(i) {
+			t.Errorf("gate %d starts at %d, want %d", i, start, i)
 		}
 	}
-	if s.LengthCycles != 3 {
-		t.Errorf("makespan = %d", s.LengthCycles)
+	if s.Length != 3 {
+		t.Errorf("makespan = %d", s.Length)
 	}
 }
 
 func TestASAPParallelQubits(t *testing.T) {
-	c := &Circuit{NumQubits: 2, Gates: []Gate{lin("X", 0), lin("Y", 1)}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Gates[0].Start != 0 || s.Gates[1].Start != 0 {
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{lin("X", 0), lin("Y", 1)}}
+	s := asap(t, c)
+	if s.Starts[0] != 0 || s.Starts[1] != 0 {
 		t.Fatal("independent gates must start together")
 	}
-	if got := s.ParallelismProfile(); got != 2 {
+	if got := mustCount(t, s, Config1).GatesPerPoint(); got != 2 {
 		t.Errorf("parallelism = %v", got)
 	}
 }
 
 func TestASAPTwoQubitDependency(t *testing.T) {
-	c := &Circuit{NumQubits: 2, Gates: []Gate{
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		lin("X", 0),     // cycle 0
 		lin("CZ", 0, 1), // waits for q0: cycle 1, takes 2
 		lin("Y", 1),     // waits for CZ: cycle 3
 		lin("H", 0),     // also waits for CZ: cycle 3
 	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := asap(t, c)
 	byName := map[string]int64{}
-	for _, g := range s.Gates {
-		byName[g.Name] = g.Start
+	for i, g := range s.Gates {
+		byName[g.Name] = s.Starts[i]
 	}
 	if byName["CZ"] != 1 || byName["Y"] != 3 || byName["H"] != 3 {
 		t.Fatalf("schedule: %v", byName)
@@ -58,16 +79,13 @@ func TestASAPTwoQubitDependency(t *testing.T) {
 }
 
 func TestASAPMeasurementDuration(t *testing.T) {
-	c := &Circuit{NumQubits: 1, Gates: []Gate{
+	c := &ir.Program{NumQubits: 1, Gates: []ir.Gate{
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 		lin("X", 0),
 	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Gates[1].Start != DefaultMeasureCycles {
-		t.Fatalf("gate after measurement starts at %d, want %d", s.Gates[1].Start, DefaultMeasureCycles)
+	s := asap(t, c)
+	if s.Starts[1] != DefaultMeasureCycles {
+		t.Fatalf("gate after measurement starts at %d, want %d", s.Starts[1], DefaultMeasureCycles)
 	}
 }
 
@@ -77,34 +95,37 @@ func TestASAPDependencyPreservation(t *testing.T) {
 	f := func(seed int64, nRaw uint8) bool {
 		n := int(nRaw)%40 + 5
 		rng := newRand(seed)
-		c := &Circuit{NumQubits: 4}
+		c := &ir.Program{NumQubits: 4}
 		for i := 0; i < n; i++ {
 			if rng.Intn(4) == 0 {
 				a := rng.Intn(4)
 				b := (a + 1 + rng.Intn(3)) % 4
-				c.Gates = append(c.Gates, Gate{Name: "CZ", Qubits: []int{a, b}})
+				c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{a, b}})
 			} else {
-				c.Gates = append(c.Gates, Gate{Name: "X", Qubits: []int{rng.Intn(4)},
+				c.Gates = append(c.Gates, ir.Gate{Name: "X", Qubits: []int{rng.Intn(4)},
 					DurationCycles: 1 + rng.Intn(3)})
 			}
 		}
-		s, err := ASAP(c)
-		if err != nil {
+		if err := schedule(c, false); err != nil {
 			return false
 		}
 		// Rebuild per-qubit busy intervals and check for overlap; also
 		// check program order is respected per qubit.
 		type iv struct{ start, end int64 }
 		busy := map[int][]iv{}
-		for _, g := range s.Gates {
+		for i, g := range c.Gates {
+			start := c.Starts[i]
 			for _, q := range g.Qubits {
-				end := g.Start + g.duration()
+				end := start + g.Duration()
 				for _, other := range busy[q] {
-					if g.Start < other.end && other.start < end {
+					if start < other.end && other.start < end {
 						return false
 					}
 				}
-				busy[q] = append(busy[q], iv{g.Start, end})
+				if n := len(busy[q]); n > 0 && busy[q][n-1].start >= start {
+					return false
+				}
+				busy[q] = append(busy[q], iv{start, end})
 			}
 		}
 		return true
@@ -115,14 +136,14 @@ func TestASAPDependencyPreservation(t *testing.T) {
 }
 
 func TestCircuitValidate(t *testing.T) {
-	bad := []*Circuit{
-		{NumQubits: 2, Gates: []Gate{{Name: "X", Qubits: []int{5}}}},
-		{NumQubits: 2, Gates: []Gate{{Name: "X", Qubits: nil}}},
-		{NumQubits: 2, Gates: []Gate{{Name: "CZ", Qubits: []int{1, 1}}}},
-		{NumQubits: 2, Gates: []Gate{{Name: "X", Qubits: []int{0, 1, 0}}}},
+	bad := []*ir.Program{
+		{NumQubits: 2, Gates: []ir.Gate{{Name: "X", Qubits: []int{5}}}},
+		{NumQubits: 2, Gates: []ir.Gate{{Name: "X", Qubits: nil}}},
+		{NumQubits: 2, Gates: []ir.Gate{{Name: "CZ", Qubits: []int{1, 1}}}},
+		{NumQubits: 2, Gates: []ir.Gate{{Name: "X", Qubits: []int{0, 1, 0}}}},
 	}
 	for i, c := range bad {
-		if err := c.Validate(); err == nil {
+		if err := PassValidate().Run(c); err == nil {
 			t.Errorf("case %d: bad circuit accepted", i)
 		}
 	}
@@ -143,14 +164,11 @@ func TestOptionsValidate(t *testing.T) {
 // Hand-checkable counting example: 3 points, known ops.
 func TestCountByHand(t *testing.T) {
 	// q0: X(c0) Y(c1) Z(c2); q1: X(c0) X(c1).
-	c := &Circuit{NumQubits: 2, Gates: []Gate{
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		lin("X", 0), lin("Y", 0), lin("Z", 0),
 		lin("X", 1), lin("X", 1),
 	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := asap(t, c)
 	// Points: c0 {X0,X1}, c1 {Y0,X1}, c2 {Z0}.
 	cases := []struct {
 		opt  Options
@@ -180,11 +198,11 @@ func TestCountByHand(t *testing.T) {
 
 func TestCountLongIntervalNeedsQWAIT(t *testing.T) {
 	// Measurement (15 cycles) then a gate: interval 15 exceeds wPI=3.
-	c := &Circuit{NumQubits: 1, Gates: []Gate{
+	c := &ir.Program{NumQubits: 1, Gates: []ir.Gate{
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 		lin("X", 0),
 	}}
-	s, _ := ASAP(c)
+	s := asap(t, c)
 	r, err := Count(s, Options{Spec: TS3, WPI: 3, VLIWWidth: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -206,18 +224,17 @@ func TestCountLongIntervalNeedsQWAIT(t *testing.T) {
 func TestCountMonotoneInWidth(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := newRand(seed)
-		c := &Circuit{NumQubits: 5}
+		c := &ir.Program{NumQubits: 5}
 		for i := 0; i < 60; i++ {
-			c.Gates = append(c.Gates, Gate{Name: []string{"X", "Y", "H"}[rng.Intn(3)],
+			c.Gates = append(c.Gates, ir.Gate{Name: []string{"X", "Y", "H"}[rng.Intn(3)],
 				Qubits: []int{rng.Intn(5)}})
 		}
-		s, err := ASAP(c)
-		if err != nil {
+		if err := schedule(c, false); err != nil {
 			return false
 		}
 		prev := int64(1 << 62)
 		for w := 1; w <= 4; w++ {
-			r, err := Count(s, Options{Spec: TS3, WPI: 3, VLIWWidth: w})
+			r, err := Count(c, Options{Spec: TS3, WPI: 3, VLIWWidth: w})
 			if err != nil {
 				return false
 			}
@@ -237,18 +254,17 @@ func TestCountMonotoneInWidth(t *testing.T) {
 func TestSOMQNeverHurts(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := newRand(seed)
-		c := &Circuit{NumQubits: 6}
+		c := &ir.Program{NumQubits: 6}
 		for i := 0; i < 80; i++ {
-			c.Gates = append(c.Gates, Gate{Name: []string{"X", "Y"}[rng.Intn(2)],
+			c.Gates = append(c.Gates, ir.Gate{Name: []string{"X", "Y"}[rng.Intn(2)],
 				Qubits: []int{rng.Intn(6)}})
 		}
-		s, err := ASAP(c)
-		if err != nil {
+		if err := schedule(c, false); err != nil {
 			return false
 		}
 		for w := 1; w <= 3; w++ {
-			plain, err1 := Count(s, Options{Spec: TS3, WPI: 3, VLIWWidth: w})
-			somq, err2 := Count(s, Options{Spec: TS3, WPI: 3, SOMQ: true, VLIWWidth: w})
+			plain, err1 := Count(c, Options{Spec: TS3, WPI: 3, VLIWWidth: w})
+			somq, err2 := Count(c, Options{Spec: TS3, WPI: 3, SOMQ: true, VLIWWidth: w})
 			if err1 != nil || err2 != nil || somq.Instructions > plain.Instructions {
 				return false
 			}

@@ -5,8 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
-	"eqasm/internal/topology"
 )
 
 // The Fig. 7 counting model and the executable emitter must agree: under
@@ -15,39 +15,33 @@ import (
 // (SMIS/SMIT and STOP excluded, per the paper's analysis assumption that
 // target registers are free).
 func TestCountMatchesEmitter(t *testing.T) {
-	cfg := isa.DefaultConfig()
-	topo := topology.TwoQubit()
-	em := NewEmitter(cfg, topo)
+	cfg := twoQubit(true)
 	opts := Config9.WithWidth(2)
 
 	f := func(seed int64, nRaw uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := int(nRaw)%40 + 2
-		c := &Circuit{NumQubits: 3}
+		c := &ir.Program{NumQubits: 3}
 		names := []string{"X", "Y", "X90", "Ym90", "H"}
 		for i := 0; i < n; i++ {
 			switch rng.Intn(6) {
 			case 0:
-				c.Gates = append(c.Gates, Gate{Name: "CZ", Qubits: []int{2, 0}})
+				c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{2, 0}})
 			case 1:
-				c.Gates = append(c.Gates, Gate{Name: "MEASZ",
+				c.Gates = append(c.Gates, ir.Gate{Name: "MEASZ",
 					Qubits: []int{[]int{0, 2}[rng.Intn(2)]}, Measure: true})
 			default:
-				c.Gates = append(c.Gates, Gate{Name: names[rng.Intn(len(names))],
+				c.Gates = append(c.Gates, ir.Gate{Name: names[rng.Intn(len(names))],
 					Qubits: []int{[]int{0, 2}[rng.Intn(2)]}})
 			}
 		}
-		sched, err := ASAP(c)
+		prog, err := compileErr(c, cfg)
 		if err != nil {
+			t.Logf("compile: %v", err)
 			return false
 		}
-		counted, err := Count(sched, opts)
+		counted, err := Count(c, opts)
 		if err != nil {
-			return false
-		}
-		prog, err := em.Emit(sched, EmitOptions{SOMQ: true})
-		if err != nil {
-			t.Logf("emit: %v", err)
 			return false
 		}
 		var bundles, qwaits int64

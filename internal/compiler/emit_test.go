@@ -4,31 +4,53 @@ import (
 	"math/rand"
 	"testing"
 
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/topology"
 )
 
 func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
 
-func testEmitter() *Emitter {
-	return NewEmitter(isa.DefaultConfig(), topology.TwoQubit())
+// twoQubit is the executable pipeline configuration for the two-qubit
+// chip under the default instantiation's architecture.
+func twoQubit(somq bool) PipelineConfig {
+	arch := DefaultArch(isa.Default)
+	arch.SOMQ = somq
+	return PipelineConfig{Config: isa.DefaultConfig(), Topo: topology.TwoQubit(), Inst: isa.Default, Arch: arch}
+}
+
+// compileErr drives p through the pipeline cfg assembles.
+func compileErr(p *ir.Program, cfg PipelineConfig) (*isa.Program, error) {
+	pl, err := NewPipeline(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := pl.Run(p); err != nil {
+		return nil, err
+	}
+	return p.Code, nil
+}
+
+// compile is compileErr, failing the test on error.
+func compile(t *testing.T, p *ir.Program, cfg PipelineConfig) *isa.Program {
+	t.Helper()
+	prog, err := compileErr(p, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return prog
 }
 
 func TestEmitSimpleProgram(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("X90", 0),
 		lin("X90", 2),
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 		{Name: "MEASZ", Qubits: []int{2}, Measure: true},
 	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := testEmitter().Emit(s, EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := twoQubit(true)
+	cfg.AppendStop, cfg.InitWaitCycles = true, 100
+	prog := compile(t, c, cfg)
 	// Expect: SMIS {0,2}, QWAIT 100 (init exceeds PI), bundle X90,
 	// bundle MEASZ, STOP. SOMQ combines both qubits into one mask.
 	var kinds []isa.Opcode
@@ -57,18 +79,13 @@ func TestEmitSimpleProgram(t *testing.T) {
 }
 
 func TestEmitTwoQubitGate(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("H", 0),
 		{Name: "CZ", Qubits: []int{2, 0}},
 	}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := testEmitter().Emit(s, EmitOptions{AppendStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := twoQubit(false)
+	cfg.AppendStop = true
+	prog := compile(t, c, cfg)
 	var smit *isa.Instr
 	for i := range prog.Instrs {
 		if prog.Instrs[i].Op == isa.OpSMIT {
@@ -84,47 +101,32 @@ func TestEmitTwoQubitGate(t *testing.T) {
 }
 
 func TestEmitRejectsUnmappedPair(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{{Name: "CZ", Qubits: []int{0, 1}}}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := testEmitter().Emit(s, EmitOptions{}); err == nil {
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{{Name: "CZ", Qubits: []int{0, 1}}}}
+	if _, err := compileErr(c, twoQubit(false)); err == nil {
 		t.Fatal("pair (0,1) is not an allowed edge and must be rejected")
 	}
 }
 
 func TestEmitRejectsUnconfiguredOp(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{lin("WOBBLE", 0)}}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := testEmitter().Emit(s, EmitOptions{}); err == nil {
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{lin("WOBBLE", 0)}}
+	if _, err := compileErr(c, twoQubit(false)); err == nil {
 		t.Fatal("unconfigured operation must be rejected")
 	}
 }
 
 // The emitted program must encode cleanly to binary (all fields in range).
 func TestEmitEncodes(t *testing.T) {
-	cfg := isa.DefaultConfig()
-	e := NewEmitter(cfg, topology.TwoQubit())
-	c := &Circuit{NumQubits: 3}
+	c := &ir.Program{NumQubits: 3}
 	rng := newRand(3)
 	names := []string{"X", "Y", "X90", "Ym90", "H"}
 	for i := 0; i < 50; i++ {
 		q := []int{0, 2}[rng.Intn(2)]
 		c.Gates = append(c.Gates, lin(names[rng.Intn(len(names))], q))
 	}
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := e.Emit(s, EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 10000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := isa.EncodeProgram(prog, cfg); err != nil {
+	cfg := twoQubit(true)
+	cfg.AppendStop, cfg.InitWaitCycles = true, 10000
+	prog := compile(t, c, cfg)
+	if _, err := isa.EncodeProgram(prog, cfg.Config); err != nil {
 		t.Fatalf("emitted program does not encode: %v", err)
 	}
 }

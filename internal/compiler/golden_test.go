@@ -17,70 +17,68 @@ import (
 
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/topology"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files from the current compiler")
 
-// goldenCase is one (circuit, schedule, emit options) combination covering
-// the existing compiler_test/emit_test shapes plus the mapped and
+// goldenCase is one (circuit, pipeline configuration) combination
+// covering the compiler_test/emit_test shapes plus the mapped and
 // surface-17 paths.
 type goldenCase struct {
 	name string
 	prog func(t *testing.T) *isa.Program
 }
 
-func lin(name string, qs ...int) compiler.Gate {
-	return compiler.Gate{Name: name, Qubits: qs}
+func lin(name string, qs ...int) ir.Gate {
+	return ir.Gate{Name: name, Qubits: qs}
 }
 
-func emitASAP(t *testing.T, c *compiler.Circuit, em *compiler.Emitter, opts compiler.EmitOptions) *isa.Program {
+// pipelineConfig is the executable pipeline for a chip under its
+// instantiation's adopted architecture with SOMQ as given.
+func pipelineConfig(topo *topology.Topology, inst isa.Instantiation, somq bool) compiler.PipelineConfig {
+	arch := compiler.DefaultArch(inst)
+	arch.SOMQ = somq
+	return compiler.PipelineConfig{Config: isa.DefaultConfig(), Topo: topo, Inst: inst, Arch: arch, AppendStop: true}
+}
+
+func twoQubitConfig(somq bool, initWait int) compiler.PipelineConfig {
+	cfg := pipelineConfig(topology.TwoQubit(), isa.Default, somq)
+	cfg.InitWaitCycles = initWait
+	return cfg
+}
+
+// compile drives the circuit through the pipeline cfg assembles.
+func compile(t *testing.T, c *ir.Program, cfg compiler.PipelineConfig) *isa.Program {
 	t.Helper()
-	s, err := compiler.ASAP(c)
+	pl, err := compiler.NewPipeline(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := em.Emit(s, opts)
-	if err != nil {
+	if err := pl.Run(c); err != nil {
 		t.Fatal(err)
 	}
-	return prog
-}
-
-func emitALAP(t *testing.T, c *compiler.Circuit, em *compiler.Emitter, opts compiler.EmitOptions) *isa.Program {
-	t.Helper()
-	s, err := compiler.ALAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := em.Emit(s, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return prog
-}
-
-func defaultEmitter() *compiler.Emitter {
-	return compiler.NewEmitter(isa.DefaultConfig(), topology.TwoQubit())
+	return c.Code
 }
 
 // randomCircuit mirrors the shapes used by emit_test.go and
 // consistency_test.go: random single-qubit gates, CZs over the (2,0)
 // coupling and measurements on the two-qubit validation chip.
-func randomCircuit(seed int64, n int, withCZ bool) *compiler.Circuit {
+func randomCircuit(seed int64, n int, withCZ bool) *ir.Program {
 	rng := rand.New(rand.NewSource(seed))
-	c := &compiler.Circuit{NumQubits: 3}
+	c := &ir.Program{NumQubits: 3}
 	names := []string{"X", "Y", "X90", "Ym90", "H"}
 	for i := 0; i < n; i++ {
 		switch {
 		case withCZ && rng.Intn(6) == 0:
-			c.Gates = append(c.Gates, compiler.Gate{Name: "CZ", Qubits: []int{2, 0}})
+			c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{2, 0}})
 		case withCZ && rng.Intn(6) == 1:
-			c.Gates = append(c.Gates, compiler.Gate{Name: "MEASZ",
+			c.Gates = append(c.Gates, ir.Gate{Name: "MEASZ",
 				Qubits: []int{[]int{0, 2}[rng.Intn(2)]}, Measure: true})
 		default:
-			c.Gates = append(c.Gates, compiler.Gate{Name: names[rng.Intn(len(names))],
+			c.Gates = append(c.Gates, ir.Gate{Name: names[rng.Intn(len(names))],
 				Qubits: []int{[]int{0, 2}[rng.Intn(2)]}})
 		}
 	}
@@ -90,77 +88,67 @@ func randomCircuit(seed int64, n int, withCZ bool) *compiler.Circuit {
 func goldenCases() []goldenCase {
 	return []goldenCase{
 		{"simple_somq", func(t *testing.T) *isa.Program {
-			c := &compiler.Circuit{NumQubits: 3, Gates: []compiler.Gate{
+			c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 				lin("X90", 0), lin("X90", 2),
 				{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 				{Name: "MEASZ", Qubits: []int{2}, Measure: true},
 			}}
-			return emitASAP(t, c, defaultEmitter(),
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 100})
+			return compile(t, c, twoQubitConfig(true, 100))
 		}},
 		{"two_qubit", func(t *testing.T) *isa.Program {
-			c := &compiler.Circuit{NumQubits: 3, Gates: []compiler.Gate{
+			c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 				lin("H", 0), {Name: "CZ", Qubits: []int{2, 0}},
 			}}
-			return emitASAP(t, c, defaultEmitter(), compiler.EmitOptions{AppendStop: true})
+			return compile(t, c, twoQubitConfig(false, 0))
 		}},
 		{"bell", func(t *testing.T) *isa.Program {
-			c := &compiler.Circuit{Name: "bell", NumQubits: 3, Gates: []compiler.Gate{
+			c := &ir.Program{Name: "bell", NumQubits: 3, Gates: []ir.Gate{
 				lin("H", 0), {Name: "CNOT", Qubits: []int{0, 2}},
 				{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 				{Name: "MEASZ", Qubits: []int{2}, Measure: true},
 			}}
-			return emitASAP(t, c, defaultEmitter(),
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 10000})
+			return compile(t, c, twoQubitConfig(true, 10000))
 		}},
 		{"random50_somq", func(t *testing.T) *isa.Program {
-			return emitASAP(t, randomCircuit(3, 50, false), defaultEmitter(),
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 10000})
+			return compile(t, randomCircuit(3, 50, false), twoQubitConfig(true, 10000))
 		}},
 		{"random80_mixed", func(t *testing.T) *isa.Program {
-			return emitASAP(t, randomCircuit(7, 80, true), defaultEmitter(),
-				compiler.EmitOptions{SOMQ: true, AppendStop: true})
+			return compile(t, randomCircuit(7, 80, true), twoQubitConfig(true, 0))
 		}},
 		{"random80_nosomq", func(t *testing.T) *isa.Program {
-			return emitASAP(t, randomCircuit(11, 80, true), defaultEmitter(),
-				compiler.EmitOptions{AppendStop: true})
+			return compile(t, randomCircuit(11, 80, true), twoQubitConfig(false, 0))
 		}},
 		{"alap_chain", func(t *testing.T) *isa.Program {
-			c := &compiler.Circuit{NumQubits: 3, Gates: []compiler.Gate{
+			c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 				lin("X", 0), lin("Y", 2), {Name: "CZ", Qubits: []int{2, 0}},
 				lin("H", 0),
 				{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 			}}
-			return emitALAP(t, c, defaultEmitter(),
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 200})
+			cfg := twoQubitConfig(true, 200)
+			cfg.ALAP = true
+			return compile(t, c, cfg)
 		}},
 		{"mapped_surface7", func(t *testing.T) *isa.Program {
-			topo := topology.Surface7()
-			c := &compiler.Circuit{NumQubits: 4, Gates: []compiler.Gate{
+			c := &ir.Program{NumQubits: 4, Gates: []ir.Gate{
 				lin("H", 0), {Name: "CZ", Qubits: []int{0, 3}},
 				{Name: "CZ", Qubits: []int{1, 2}}, lin("X", 3),
 				{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 				{Name: "MEASZ", Qubits: []int{3}, Measure: true},
 			}}
-			res, err := compiler.MapToTopology(c, topo, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			em := compiler.NewEmitter(isa.DefaultConfig(), topo)
-			return emitASAP(t, res.Circuit, em,
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 10000})
+			cfg := pipelineConfig(topology.Surface7(), isa.Default, true)
+			cfg.Map = true
+			cfg.InitWaitCycles = 10000
+			return compile(t, c, cfg)
 		}},
 		{"qec_surface17", func(t *testing.T) *isa.Program {
-			em := compiler.NewEmitter(isa.DefaultConfig(), topology.Surface17())
-			em.Inst = isa.Surface17Instantiation()
-			return emitASAP(t, benchmarks.QEC(2), em,
-				compiler.EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 10000})
+			cfg := pipelineConfig(topology.Surface17(), isa.Surface17Instantiation(), true)
+			cfg.InitWaitCycles = 10000
+			return compile(t, benchmarks.QEC(2), cfg)
 		}},
 		{"qec_surface17_alap", func(t *testing.T) *isa.Program {
-			em := compiler.NewEmitter(isa.DefaultConfig(), topology.Surface17())
-			em.Inst = isa.Surface17Instantiation()
-			return emitALAP(t, benchmarks.QEC(1), em,
-				compiler.EmitOptions{AppendStop: true})
+			cfg := pipelineConfig(topology.Surface17(), isa.Surface17Instantiation(), false)
+			cfg.ALAP = true
+			return compile(t, benchmarks.QEC(1), cfg)
 		}},
 	}
 }
@@ -196,15 +184,15 @@ func TestGoldenEmit(t *testing.T) {
 // enough to live in this package; the full RB/IM/SR grid is pinned by
 // internal/dse's golden test).
 func TestGoldenCounts(t *testing.T) {
-	circuits := []*compiler.Circuit{
+	circuits := []*ir.Program{
 		randomCircuit(3, 50, false),
 		randomCircuit(7, 80, true),
 		randomCircuit(11, 120, true),
 	}
 	var got string
 	for ci, c := range circuits {
-		s, err := compiler.ASAP(c)
-		if err != nil {
+		pl := (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP())
+		if err := pl.Run(c); err != nil {
 			t.Fatal(err)
 		}
 		for _, cfg := range []compiler.Options{
@@ -216,7 +204,7 @@ func TestGoldenCounts(t *testing.T) {
 				if cfg.Spec == compiler.TS2 && w < 2 {
 					continue
 				}
-				r, err := compiler.Count(s, cfg.WithWidth(w))
+				r, err := compiler.Count(c, cfg.WithWidth(w))
 				if err != nil {
 					t.Fatal(err)
 				}

@@ -3,6 +3,7 @@ package compiler
 import (
 	"fmt"
 
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/topology"
 )
@@ -19,8 +20,8 @@ import (
 // dropped. Programs using classical control flow (branches, feedback)
 // have data-dependent semantics and cannot be lifted to a static
 // circuit; Lift reports an error for them.
-func Lift(p *isa.Program, cfg *isa.OpConfig, topo *topology.Topology) (*Circuit, error) {
-	c := &Circuit{NumQubits: topo.NumQubits}
+func Lift(p *isa.Program, cfg *isa.OpConfig, topo *topology.Topology) (*ir.Program, error) {
+	c := &ir.Program{NumQubits: topo.NumQubits}
 	sRegs := map[uint8]uint64{}
 	tRegs := map[uint8]uint64{}
 	for idx, ins := range p.Instrs {
@@ -46,7 +47,7 @@ func Lift(p *isa.Program, cfg *isa.OpConfig, topo *topology.Topology) (*Circuit,
 							return nil, fmt.Errorf("compiler: instruction %d: edge %d not on chip %q", idx, id, topo.Name)
 						}
 						e := topo.Edges[id]
-						c.Gates = append(c.Gates, Gate{
+						c.Gates = append(c.Gates, ir.Gate{
 							Name:           q.Name,
 							Qubits:         []int{e.Src, e.Tgt},
 							DurationCycles: def.DurationCycles,
@@ -55,7 +56,7 @@ func Lift(p *isa.Program, cfg *isa.OpConfig, topo *topology.Topology) (*Circuit,
 					continue
 				}
 				for _, qubit := range isa.MaskQubits(sRegs[q.Target]) {
-					c.Gates = append(c.Gates, Gate{
+					c.Gates = append(c.Gates, ir.Gate{
 						Name:           q.Name,
 						Qubits:         []int{qubit},
 						DurationCycles: def.DurationCycles,
@@ -72,12 +73,13 @@ func Lift(p *isa.Program, cfg *isa.OpConfig, topo *topology.Topology) (*Circuit,
 	return c, nil
 }
 
-// Remap returns a copy of the circuit with qubits renumbered through the
-// mapping (the qubit mapping pass required when retargeting to another
-// chip topology). Every qubit used by the circuit must be mapped.
-func (c *Circuit) Remap(mapping map[int]int, newNumQubits int) (*Circuit, error) {
-	out := &Circuit{Name: c.Name, NumQubits: newNumQubits}
-	for i, g := range c.Gates {
+// Remap returns a copy of the program's circuit with qubits renumbered
+// through the mapping (the qubit mapping pass required when retargeting
+// to another chip topology). Every qubit used by the circuit must be
+// mapped.
+func Remap(p *ir.Program, mapping map[int]int, newNumQubits int) (*ir.Program, error) {
+	out := &ir.Program{Name: p.Name, NumQubits: newNumQubits}
+	for i, g := range p.Gates {
 		ng := g
 		ng.Qubits = make([]int, len(g.Qubits))
 		for k, q := range g.Qubits {
@@ -95,23 +97,28 @@ func (c *Circuit) Remap(mapping map[int]int, newNumQubits int) (*Circuit, error)
 	return out, nil
 }
 
-// Retarget lifts a program from one platform and emits it for another:
-// the complete cross-platform conversion the paper's conclusion sketches.
-// The mapping renames physical qubits; gate durations are re-derived from
-// the destination configuration by the emitter's scheduler input.
+// Retarget lifts a program from one platform and compiles it for
+// another through the destination's pipeline: the complete
+// cross-platform conversion the paper's conclusion sketches. The
+// mapping renames physical qubits; the lifted gates keep the durations
+// the source configuration gives them when the destination pipeline
+// reschedules them.
 func Retarget(p *isa.Program, srcCfg *isa.OpConfig, srcTopo *topology.Topology,
-	dst *Emitter, mapping map[int]int, opts EmitOptions) (*isa.Program, error) {
+	dst PipelineConfig, mapping map[int]int) (*isa.Program, error) {
 	circ, err := Lift(p, srcCfg, srcTopo)
 	if err != nil {
 		return nil, err
 	}
-	remapped, err := circ.Remap(mapping, dst.Topo.NumQubits)
+	remapped, err := Remap(circ, mapping, dst.Topo.NumQubits)
 	if err != nil {
 		return nil, err
 	}
-	sched, err := ASAP(remapped)
+	pl, err := NewPipeline(dst)
 	if err != nil {
 		return nil, err
 	}
-	return dst.Emit(sched, opts)
+	if err := pl.Run(remapped); err != nil {
+		return nil, err
+	}
+	return remapped.Code, nil
 }

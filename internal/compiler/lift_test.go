@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/topology"
 )
@@ -11,20 +12,15 @@ import (
 func TestLiftRecoversGates(t *testing.T) {
 	cfg := isa.DefaultConfig()
 	topo := topology.TwoQubit()
-	circ := &Circuit{NumQubits: 3, Gates: []Gate{
+	circ := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("H", 0),
 		lin("X90", 2),
 		{Name: "CZ", Qubits: []int{2, 0}},
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 	}}
-	sched, err := ASAP(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := NewEmitter(cfg, topo).Emit(sched, EmitOptions{SOMQ: true, AppendStop: true, InitWaitCycles: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := twoQubit(true)
+	pc.AppendStop, pc.InitWaitCycles = true, 100
+	prog := compile(t, circ, pc)
 	lifted, err := Lift(prog, cfg, topo)
 	if err != nil {
 		t.Fatal(err)
@@ -51,30 +47,25 @@ func TestLiftRecoversGates(t *testing.T) {
 func TestLiftEmitRoundTrip(t *testing.T) {
 	cfg := isa.DefaultConfig()
 	topo := topology.TwoQubit()
-	circ := &Circuit{NumQubits: 3}
+	circ := &ir.Program{NumQubits: 3}
 	names := []string{"X", "Y90", "H", "Xm90"}
 	for i := 0; i < 20; i++ {
 		q := []int{0, 2}[i%2]
 		circ.Gates = append(circ.Gates, lin(names[i%len(names)], q))
 		if i%7 == 3 {
-			circ.Gates = append(circ.Gates, Gate{Name: "CZ", Qubits: []int{2, 0}})
+			circ.Gates = append(circ.Gates, ir.Gate{Name: "CZ", Qubits: []int{2, 0}})
 		}
 	}
-	sched, err := ASAP(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := NewEmitter(cfg, topo).Emit(sched, EmitOptions{SOMQ: true, AppendStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	pc := twoQubit(true)
+	pc.AppendStop = true
+	prog := compile(t, circ, pc)
 	lifted, err := Lift(prog, cfg, topo)
 	if err != nil {
 		t.Fatal(err)
 	}
-	perQubit := func(c *Circuit) map[int][]string {
+	perQubit := func(gates []ir.Gate) map[int][]string {
 		out := map[int][]string{}
-		for _, g := range c.Gates {
+		for _, g := range gates {
 			for _, q := range g.Qubits {
 				out[q] = append(out[q], g.Name)
 			}
@@ -83,11 +74,11 @@ func TestLiftEmitRoundTrip(t *testing.T) {
 	}
 	// Compare against the *schedule* order (the emitter reorders within
 	// timing points, which is semantics preserving).
-	schedCirc := &Circuit{NumQubits: 3}
-	for _, g := range sched.Gates {
-		schedCirc.Gates = append(schedCirc.Gates, g.Gate)
+	var scheduled []ir.Gate
+	for _, i := range circ.Order {
+		scheduled = append(scheduled, circ.Gates[i])
 	}
-	got, want := perQubit(lifted), perQubit(schedCirc)
+	got, want := perQubit(lifted.Gates), perQubit(scheduled)
 	for q := range want {
 		if !reflect.DeepEqual(got[q], want[q]) {
 			t.Fatalf("qubit %d sequence %v, want %v", q, got[q], want[q])
@@ -111,23 +102,31 @@ func TestLiftRejectsControlFlow(t *testing.T) {
 }
 
 func TestRemap(t *testing.T) {
-	c := &Circuit{NumQubits: 3, Gates: []Gate{
+	c := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("H", 0),
 		{Name: "CZ", Qubits: []int{2, 0}},
 	}}
-	r, err := c.Remap(map[int]int{0: 0, 2: 9}, 17)
+	r, err := Remap(c, map[int]int{0: 0, 2: 9}, 17)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if r.Gates[1].Qubits[0] != 9 || r.Gates[1].Qubits[1] != 0 {
 		t.Fatalf("remapped CZ: %v", r.Gates[1].Qubits)
 	}
-	if _, err := c.Remap(map[int]int{0: 0}, 17); err == nil {
+	if _, err := Remap(c, map[int]int{0: 0}, 17); err == nil {
 		t.Fatal("unmapped qubit accepted")
 	}
-	if _, err := c.Remap(map[int]int{0: 99, 2: 1}, 17); err == nil {
+	if _, err := Remap(c, map[int]int{0: 99, 2: 1}, 17); err == nil {
 		t.Fatal("out-of-range mapping accepted")
 	}
+}
+
+// surface17Config is the executable pipeline configuration for the
+// surface-17 chip under its own instantiation, with a trailing STOP.
+func surface17Config() PipelineConfig {
+	inst := isa.Surface17Instantiation()
+	return PipelineConfig{Config: isa.DefaultConfig(), Topo: topology.Surface17(), Inst: inst,
+		Arch: DefaultArch(inst), AppendStop: true}
 }
 
 // The full cross-platform conversion: a two-qubit-chip program retargets
@@ -135,24 +134,19 @@ func TestRemap(t *testing.T) {
 func TestRetargetTwoQubitToSurface17(t *testing.T) {
 	cfg := isa.DefaultConfig()
 	src := topology.TwoQubit()
-	circ := &Circuit{NumQubits: 3, Gates: []Gate{
+	circ := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("H", 2),
 		{Name: "CZ", Qubits: []int{2, 0}},
 		lin("H", 2),
 		{Name: "MEASZ", Qubits: []int{2}, Measure: true},
 	}}
-	sched, err := ASAP(circ)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prog, err := NewEmitter(cfg, src).Emit(sched, EmitOptions{AppendStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := &Emitter{Config: cfg, Topo: topology.Surface17(), Inst: isa.Surface17Instantiation()}
+	pc := twoQubit(false)
+	pc.AppendStop = true
+	prog := compile(t, circ, pc)
+	dst := surface17Config()
 	// Chip qubit 2 -> surface-17 ancilla 9, chip qubit 0 -> data 0:
 	// (9, 0) is an allowed coupling.
-	out, err := Retarget(prog, cfg, src, dst, map[int]int{2: 9, 0: 0}, EmitOptions{AppendStop: true})
+	out, err := Retarget(prog, cfg, src, dst, map[int]int{2: 9, 0: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,15 +173,12 @@ func TestRetargetTwoQubitToSurface17(t *testing.T) {
 func TestRetargetRejectsDisallowedPair(t *testing.T) {
 	cfg := isa.DefaultConfig()
 	src := topology.TwoQubit()
-	circ := &Circuit{NumQubits: 3, Gates: []Gate{{Name: "CZ", Qubits: []int{2, 0}}}}
-	sched, _ := ASAP(circ)
-	prog, err := NewEmitter(cfg, src).Emit(sched, EmitOptions{AppendStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := &Emitter{Config: cfg, Topo: topology.Surface17(), Inst: isa.Surface17Instantiation()}
+	circ := &ir.Program{NumQubits: 3, Gates: []ir.Gate{{Name: "CZ", Qubits: []int{2, 0}}}}
+	pc := twoQubit(false)
+	pc.AppendStop = true
+	prog := compile(t, circ, pc)
 	// Data qubits 0 and 1 are never directly coupled.
-	if _, err := Retarget(prog, cfg, src, dst, map[int]int{2: 0, 0: 1}, EmitOptions{}); err == nil {
+	if _, err := Retarget(prog, cfg, src, surface17Config(), map[int]int{2: 0, 0: 1}); err == nil {
 		t.Fatal("unroutable retarget accepted")
 	}
 }

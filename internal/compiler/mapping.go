@@ -18,7 +18,8 @@ import (
 // qubit to a distinct physical qubit; nil assigns virtual i to physical
 // i. The pass rewrites the program's gates onto physical qubits,
 // growing NumQubits to the chip size, and records the placement in
-// Program.Layout.
+// Program.Layout. Two-qubit gates land on allowed pairs, using the
+// reverse edge for the symmetric CZ when only that direction exists.
 func PassMap(topo *topology.Topology, initial []int) Pass {
 	return Pass{Name: "map", Run: func(p *ir.Program) error {
 		return mapProgram(p, topo, initial)
@@ -129,35 +130,6 @@ func mapProgram(p *ir.Program, topo *topology.Topology, initial []int) error {
 	p.Gates = mapped
 	p.Layout = layout
 	return nil
-}
-
-// MapResult is the outcome of MapToTopology.
-type MapResult struct {
-	// Circuit is the routed physical circuit.
-	Circuit *Circuit
-	// Initial and Final give the virtual->physical placement before and
-	// after routing (SWAPs move logical qubits).
-	Initial, Final []int
-	// SwapCount is the number of SWAPs inserted.
-	SwapCount int
-}
-
-// MapToTopology places and routes a circuit onto a chip. It delegates
-// to the pipeline's validate and map passes (PassMap), kept as an entry
-// point so pre-pipeline callers compile unchanged. Two-qubit gates are
-// emitted on allowed pairs, using the reverse edge for the symmetric CZ
-// when only that direction exists.
-func MapToTopology(c *Circuit, topo *topology.Topology, initial []int) (*MapResult, error) {
-	p := c.IR()
-	if err := (&Pipeline{}).Append(PassValidate(), PassMap(topo, initial)).Run(p); err != nil {
-		return nil, err
-	}
-	return &MapResult{
-		Circuit:   FromIR(p),
-		Initial:   p.Layout.Initial,
-		Final:     p.Layout.Final,
-		SwapCount: p.Layout.SwapCount,
-	}, nil
 }
 
 func hasEdge(t *topology.Topology, a, b int) bool {

@@ -161,3 +161,69 @@ func PassAllocRegs(inst isa.Instantiation) Pass {
 		return nil
 	}}
 }
+
+// regAlloc allocates target registers for mask values with LRU eviction.
+type regAlloc struct {
+	byMask  map[uint64]int
+	lastUse map[int]int64
+	size    int
+	clock   int64
+}
+
+func newRegAlloc(size int) *regAlloc {
+	return &regAlloc{byMask: map[uint64]int{}, lastUse: map[int]int64{}, size: size}
+}
+
+// get returns the register holding mask, allocating (fresh=true) when the
+// mask is not resident.
+func (a *regAlloc) get(mask uint64) (reg int, fresh bool) {
+	a.clock++
+	if r, ok := a.byMask[mask]; ok {
+		a.lastUse[r] = a.clock
+		return r, false
+	}
+	if len(a.byMask) < a.size {
+		r := len(a.byMask)
+		a.byMask[mask] = r
+		a.lastUse[r] = a.clock
+		return r, true
+	}
+	// Evict the least recently used register.
+	victim, oldest := -1, int64(1<<62)
+	for r, t := range a.lastUse {
+		if t < oldest {
+			victim, oldest = r, t
+		}
+	}
+	for m, r := range a.byMask {
+		if r == victim {
+			delete(a.byMask, m)
+			break
+		}
+	}
+	a.byMask[mask] = victim
+	a.lastUse[victim] = a.clock
+	return victim, true
+}
+
+// splitMask chunks a bit mask into masks of at most maxBits set bits.
+func splitMask(mask uint64, maxBits int) []uint64 {
+	if maxBits <= 0 {
+		maxBits = 1
+	}
+	var out []uint64
+	var cur uint64
+	n := 0
+	for _, b := range isa.MaskQubits(mask) {
+		cur |= 1 << uint(b)
+		n++
+		if n == maxBits {
+			out = append(out, cur)
+			cur, n = 0, 0
+		}
+	}
+	if cur != 0 {
+		out = append(out, cur)
+	}
+	return out
+}

@@ -1,3 +1,15 @@
+// Package compiler is the quantum compiler backend of the eQASM stack
+// (the second compilation step of Fig. 1), structured as a pass
+// pipeline over the typed circuit IR of internal/ir: hardware-
+// independent circuits (*ir.Program) are validated, optionally mapped
+// onto the chip topology, scheduled (ASAP or ALAP) with gate durations,
+// packed into SOMQ groups and VLIW bundles, given mask registers,
+// lowered to explicit timing (ts1/ts3 with a configurable PI width,
+// Section 4.2) and emitted as executable eQASM. Every stage is an
+// inspectable Pass and NewPipeline assembles the standard sequence; the
+// Fig. 7 instruction-counting mode (design-space exploration) is a
+// Counter observer over the pack pass rather than a parallel code path,
+// and Lift/Retarget run the flow backwards from eQASM to a circuit.
 package compiler
 
 import (
@@ -8,12 +20,13 @@ import (
 	"eqasm/internal/topology"
 )
 
-// This file is the spine of the pass-based compiler: the Fig. 1 backend
-// restructured as a staged pipeline over the typed circuit IR
-// (internal/ir). Each pass is an inspectable func(*ir.Program) error;
-// observers run between passes, which is how the Section 4.2
-// design-space counting mode rides the same pipeline as executable
-// emission instead of being a parallel code path.
+// Default durations by gate kind (Section 4.2: single-qubit 1 cycle,
+// two-qubit 2 cycles, measurement 15 cycles).
+const (
+	DefaultSingleCycles  = ir.DefaultSingleCycles
+	DefaultTwoCycles     = ir.DefaultTwoCycles
+	DefaultMeasureCycles = ir.DefaultMeasureCycles
+)
 
 // Pass is one named, inspectable stage of the compiler pipeline.
 type Pass struct {
@@ -162,21 +175,4 @@ func NewPipeline(cfg PipelineConfig) (*Pipeline, error) {
 		PassEmit(arch, cfg.AppendStop),
 	)
 	return pl, nil
-}
-
-// CountingPipeline assembles the counting-mode pipeline: validate →
-// schedule → pack (config-free grouping). Attach a Counter observer to
-// size the program under one or more architecture configurations — the
-// Fig. 7 design-space exploration as a thin observer over the same
-// pass structure the executable path uses.
-func CountingPipeline(somq bool, alap bool) *Pipeline {
-	pl := &Pipeline{}
-	pl.Append(PassValidate())
-	if alap {
-		pl.Append(PassScheduleALAP())
-	} else {
-		pl.Append(PassScheduleASAP())
-	}
-	pl.Append(PassPack(nil, nil, somq))
-	return pl
 }

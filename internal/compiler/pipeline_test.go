@@ -9,8 +9,8 @@ import (
 	"eqasm/internal/topology"
 )
 
-func pipelineCircuit() *Circuit {
-	return &Circuit{NumQubits: 3, Gates: []Gate{
+func pipelineCircuit() *ir.Program {
+	return &ir.Program{NumQubits: 3, Gates: []ir.Gate{
 		lin("H", 0), lin("H", 2),
 		{Name: "CZ", Qubits: []int{2, 0}},
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
@@ -61,7 +61,7 @@ func TestPipelineObserversSeeEveryStage(t *testing.T) {
 		}
 		return nil
 	})
-	p := pipelineCircuit().IR()
+	p := pipelineCircuit()
 	if err := pl.Run(p); err != nil {
 		t.Fatal(err)
 	}
@@ -82,17 +82,12 @@ func TestPipelineObserversSeeEveryStage(t *testing.T) {
 // model on bundle and QWAIT counts (the counting assumption excludes
 // SMIS/SMIT and STOP).
 func TestEmitArchTS1(t *testing.T) {
-	c := pipelineCircuit()
-	s, err := ASAP(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := testEmitter()
 	arch := Options{Spec: TS1, SOMQ: true, VLIWWidth: 2}
-	prog, err := em.EmitArch(s, arch, EmitOptions{AppendStop: true})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := twoQubit(false)
+	cfg.Arch = arch
+	cfg.AppendStop = true
+	s := pipelineCircuit()
+	prog := compile(t, s, cfg)
 	var bundles, qwaits int64
 	for _, ins := range prog.Instrs {
 		switch ins.Op {
@@ -105,10 +100,7 @@ func TestEmitArchTS1(t *testing.T) {
 			qwaits++
 		}
 	}
-	counted, err := Count(s, arch)
-	if err != nil {
-		t.Fatal(err)
-	}
+	counted := mustCount(t, s, arch)
 	if bundles != counted.BundleWords || qwaits != counted.QWaits {
 		t.Fatalf("emitter %d bundles / %d qwaits, counter %d / %d\n%s",
 			bundles, qwaits, counted.BundleWords, counted.QWaits, prog)
@@ -119,11 +111,6 @@ func TestEmitArchTS1(t *testing.T) {
 }
 
 func TestEmitArchRejectsUnencodableKnobs(t *testing.T) {
-	s, err := ASAP(pipelineCircuit())
-	if err != nil {
-		t.Fatal(err)
-	}
-	em := testEmitter()
 	cases := []struct {
 		arch Options
 		want string
@@ -133,48 +120,42 @@ func TestEmitArchRejectsUnencodableKnobs(t *testing.T) {
 		{Options{Spec: TS3, WPI: 3, VLIWWidth: 4}, "instantiation's width"},
 	}
 	for _, tc := range cases {
-		_, err := em.EmitArch(s, tc.arch, EmitOptions{})
+		cfg := twoQubit(false)
+		cfg.Arch = tc.arch
+		_, err := NewPipeline(cfg)
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%v: err = %v, want mention of %q", tc.arch, err, tc.want)
 		}
 	}
 }
 
-// The Counter observer over a counting pipeline reproduces the Count
-// entry point exactly.
+// The Counter observer over a counting pipeline (validate, schedule,
+// pack without a chip) reproduces Count exactly.
 func TestCountingPipelineMatchesCount(t *testing.T) {
-	c := randomCountCircuit(5)
 	for _, opt := range []Options{Config1, Config5.WithWidth(2), Config9.WithWidth(2)} {
 		ctr := &Counter{Opt: opt}
-		pl := CountingPipeline(opt.SOMQ, false).Observe(ctr.Observer())
-		if err := pl.Run(c.IR()); err != nil {
+		pl := (&Pipeline{}).Append(PassValidate(), PassScheduleASAP(), PassPack(nil, nil, opt.SOMQ)).
+			Observe(ctr.Observer())
+		if err := pl.Run(randomCountCircuit(5)); err != nil {
 			t.Fatal(err)
 		}
-		s, err := ASAP(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Count(s, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if ctr.Result != want {
+		if want := mustCount(t, asap(t, randomCountCircuit(5)), opt); ctr.Result != want {
 			t.Errorf("%v: observer %+v, Count %+v", opt, ctr.Result, want)
 		}
 	}
 }
 
-func randomCountCircuit(seed int64) *Circuit {
+func randomCountCircuit(seed int64) *ir.Program {
 	rng := newRand(seed)
-	c := &Circuit{NumQubits: 4}
+	c := &ir.Program{NumQubits: 4}
 	names := []string{"X", "Y", "H"}
 	for i := 0; i < 60; i++ {
 		if rng.Intn(5) == 0 {
 			a := rng.Intn(4)
 			b := (a + 1 + rng.Intn(3)) % 4
-			c.Gates = append(c.Gates, Gate{Name: "CZ", Qubits: []int{a, b}})
+			c.Gates = append(c.Gates, ir.Gate{Name: "CZ", Qubits: []int{a, b}})
 		} else {
-			c.Gates = append(c.Gates, Gate{Name: names[rng.Intn(3)], Qubits: []int{rng.Intn(4)}})
+			c.Gates = append(c.Gates, ir.Gate{Name: names[rng.Intn(3)], Qubits: []int{rng.Intn(4)}})
 		}
 	}
 	return c

@@ -11,6 +11,7 @@ import (
 
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 )
 
 // ConfigSet is the ten Fig. 7 configurations in order.
@@ -51,18 +52,19 @@ type Table struct {
 	Order []string
 	// Baseline maps benchmark name to its Config1 w=1 instruction count.
 	Baseline map[string]int64
-	// Schedules keeps the benchmark schedules for follow-up statistics.
-	Schedules map[string]*compiler.Schedule
+	// Schedules keeps the benchmark programs, scheduled ASAP and packed
+	// into timing points (no SOMQ), for follow-up statistics.
+	Schedules map[string]*ir.Program
 }
 
 // BenchmarkSet returns the paper's three workloads. RB uses 4096
 // Cliffords per qubit on 7 qubits; IM and SR use the defaults documented
 // in the benchmarks package.
-func BenchmarkSet(rbCliffords int) (map[string]*compiler.Circuit, []string) {
+func BenchmarkSet(rbCliffords int) (map[string]*ir.Program, []string) {
 	if rbCliffords <= 0 {
 		rbCliffords = 4096
 	}
-	set := map[string]*compiler.Circuit{
+	set := map[string]*ir.Program{
 		"RB": benchmarks.RB(7, rbCliffords, 1),
 		"IM": benchmarks.IM(benchmarks.DefaultIM()),
 		"SR": benchmarks.SR(benchmarks.DefaultSR()),
@@ -74,13 +76,9 @@ func BenchmarkSet(rbCliffords int) (map[string]*compiler.Circuit, []string) {
 // benchmarks. rbCliffords <= 0 selects the paper's 4096.
 func Run(rbCliffords int) (*Table, error) {
 	circuits, order := BenchmarkSet(rbCliffords)
-	t := &Table{Baseline: map[string]int64{}, Schedules: map[string]*compiler.Schedule{}}
+	t := &Table{Baseline: map[string]int64{}, Schedules: map[string]*ir.Program{}}
 	for _, name := range order {
-		sched, err := compiler.ASAP(circuits[name])
-		if err != nil {
-			return nil, fmt.Errorf("dse: scheduling %s: %w", name, err)
-		}
-		if err := t.addBenchmark(name, sched); err != nil {
+		if err := t.addBenchmark(name, circuits[name]); err != nil {
 			return nil, err
 		}
 	}
@@ -89,25 +87,27 @@ func Run(rbCliffords int) (*Table, error) {
 
 // ForCircuit evaluates the full Fig. 7 configuration grid for one
 // user-provided circuit (e.g. a cQASM workload), the "bring your own
-// benchmark" mode of the design-space exploration.
-func ForCircuit(name string, c *compiler.Circuit) (*Table, error) {
-	sched, err := compiler.ASAP(c)
-	if err != nil {
-		return nil, fmt.Errorf("dse: scheduling %s: %w", name, err)
-	}
-	t := &Table{Baseline: map[string]int64{}, Schedules: map[string]*compiler.Schedule{}}
-	if err := t.addBenchmark(name, sched); err != nil {
+// benchmark" mode of the design-space exploration. The program is
+// scheduled and packed in place.
+func ForCircuit(name string, p *ir.Program) (*Table, error) {
+	t := &Table{Baseline: map[string]int64{}, Schedules: map[string]*ir.Program{}}
+	if err := t.addBenchmark(name, p); err != nil {
 		return nil, err
 	}
 	return t, nil
 }
 
-// addBenchmark counts one scheduled workload across the whole
+// addBenchmark schedules one workload, counts it across the whole
 // configuration grid and appends its cells.
-func (t *Table) addBenchmark(name string, sched *compiler.Schedule) error {
+func (t *Table) addBenchmark(name string, p *ir.Program) error {
+	pl := (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP(),
+		compiler.PassPack(nil, nil, false))
+	if err := pl.Run(p); err != nil {
+		return fmt.Errorf("dse: scheduling %s: %w", name, err)
+	}
 	t.Order = append(t.Order, name)
-	t.Schedules[name] = sched
-	base, err := compiler.Count(sched, compiler.Config1.WithWidth(1))
+	t.Schedules[name] = p
+	base, err := compiler.Count(p, compiler.Config1.WithWidth(1))
 	if err != nil {
 		return err
 	}
@@ -117,7 +117,7 @@ func (t *Table) addBenchmark(name string, sched *compiler.Schedule) error {
 			if cfg.Opts.Spec == compiler.TS2 && w < 2 {
 				continue
 			}
-			r, err := compiler.Count(sched, cfg.Opts.WithWidth(w))
+			r, err := compiler.Count(p, cfg.Opts.WithWidth(w))
 			if err != nil {
 				return fmt.Errorf("dse: %s %s w=%d: %w", name, cfg.Name, w, err)
 			}

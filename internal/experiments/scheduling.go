@@ -6,6 +6,8 @@ import (
 
 	"eqasm/internal/compiler"
 	"eqasm/internal/core"
+	"eqasm/internal/ir"
+	"eqasm/internal/isa"
 	"eqasm/internal/quantum"
 	"eqasm/internal/topology"
 )
@@ -41,27 +43,41 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 	if opts.ChainLength == 0 {
 		opts.ChainLength = 40
 	}
-	circ := &compiler.Circuit{NumQubits: 3}
-	circ.Gates = append(circ.Gates, compiler.Gate{Name: "X", Qubits: []int{0}})
-	for i := 0; i < opts.ChainLength; i++ {
-		name := "X90"
-		if i%2 == 1 {
-			name = "Xm90"
+	// compile builds the circuit and compiles it for the two-qubit chip
+	// under the chosen scheduler.
+	compile := func(alap bool) (*ir.Program, error) {
+		circ := &ir.Program{NumQubits: 3}
+		circ.Gates = append(circ.Gates, ir.Gate{Name: "X", Qubits: []int{0}})
+		for i := 0; i < opts.ChainLength; i++ {
+			name := "X90"
+			if i%2 == 1 {
+				name = "Xm90"
+			}
+			circ.Gates = append(circ.Gates, ir.Gate{Name: name, Qubits: []int{2}})
 		}
-		circ.Gates = append(circ.Gates, compiler.Gate{Name: name, Qubits: []int{2}})
+		circ.Gates = append(circ.Gates, ir.Gate{Name: "CZ", Qubits: []int{2, 0}})
+		arch := compiler.DefaultArch(isa.Default)
+		arch.SOMQ = true
+		pl, err := compiler.NewPipeline(compiler.PipelineConfig{
+			Config: isa.DefaultConfig(), Topo: topology.TwoQubit(), Inst: isa.Default,
+			ALAP: alap, Arch: arch, AppendStop: true,
+		})
+		if err != nil {
+			return nil, err
+		}
+		return circ, pl.Run(circ)
 	}
-	circ.Gates = append(circ.Gates, compiler.Gate{Name: "CZ", Qubits: []int{2, 0}})
-
-	asap, err := compiler.ASAP(circ)
+	asap, err := compile(false)
 	if err != nil {
 		return nil, err
 	}
-	alap, err := compiler.ALAP(circ)
+	alap, err := compile(true)
 	if err != nil {
 		return nil, err
 	}
 	res := &SchedulingComparison{}
-	res.IdleGapCycles = startOfX(alap) - startOfX(asap)
+	// Gate 0 is the early X.
+	res.IdleGapCycles = alap.Starts[0] - asap.Starts[0]
 
 	// The ideal final state for fidelity reference.
 	ideal := quantum.NewState(3, rand.New(rand.NewSource(1)))
@@ -69,7 +85,8 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 	if err != nil {
 		return nil, err
 	}
-	for _, g := range asap.Gates {
+	for _, i := range asap.Order {
+		g := asap.Gates[i]
 		def, ok := cfgRef.OpConfig.ByName(g.Name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: op %q missing", g.Name)
@@ -85,7 +102,7 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 		psi[i] = ideal.Amplitude(i)
 	}
 
-	run := func(s *compiler.Schedule) (float64, error) {
+	run := func(p *ir.Program) (float64, error) {
 		sys, err := core.NewSystem(core.Options{
 			Noise:            opts.Noise,
 			Seed:             opts.Seed,
@@ -94,12 +111,7 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 		if err != nil {
 			return 0, err
 		}
-		em := compiler.NewEmitter(sys.OpConfig, topology.TwoQubit())
-		prog, err := em.Emit(s, compiler.EmitOptions{SOMQ: true, AppendStop: true})
-		if err != nil {
-			return 0, err
-		}
-		if err := sys.LoadProgram(prog); err != nil {
+		if err := sys.LoadProgram(p.Code); err != nil {
 			return 0, err
 		}
 		if err := sys.Run(); err != nil {
@@ -115,13 +127,4 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 		return nil, fmt.Errorf("experiments: ALAP run: %w", err)
 	}
 	return res, nil
-}
-
-func startOfX(s *compiler.Schedule) int64 {
-	for _, g := range s.Gates {
-		if g.Name == "X" {
-			return g.Start
-		}
-	}
-	return -1
 }

@@ -19,6 +19,7 @@ import (
 	"strings"
 
 	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 )
 
 // Kind enumerates QuMIS instruction kinds.
@@ -79,13 +80,18 @@ func (p *Program) String() string {
 	return b.String()
 }
 
-// Generate compiles a schedule to QuMIS: one wait per timing point, one
-// pulse instruction per operation name per MaxTargets qubits, two-qubit
-// gates as single-pair pulses.
-func Generate(s *compiler.Schedule) (*Program, error) {
+// Generate compiles a scheduled program to QuMIS: one wait per timing
+// point, one pulse instruction per operation name per MaxTargets
+// qubits, two-qubit gates as single-pair pulses. The timing points come
+// from the compiler's pack pass, run on a copy so s is left unchanged.
+func Generate(s *ir.Program) (*Program, error) {
+	packed := *s
+	if err := compiler.PassPack(nil, nil, false).Run(&packed); err != nil {
+		return nil, err
+	}
 	p := &Program{}
 	prev := int64(0)
-	for idx, pt := range s.Points() {
+	for idx, pt := range packed.Points {
 		interval := pt.Cycle - prev
 		prev = pt.Cycle
 		if idx > 0 || interval > 0 {
@@ -99,7 +105,8 @@ func Generate(s *compiler.Schedule) (*Program, error) {
 		}
 		var order []string
 		buckets := map[string]*bucket{}
-		for _, g := range pt.Gates {
+		for _, gi := range pt.Gates {
+			g := s.Gates[gi]
 			if g.IsTwoQubit() {
 				// Property 3: a two-qubit gate is its own instruction.
 				p.Instrs = append(p.Instrs, Instr{Kind: KindPulse, Op: g.Name, Qubits: g.Qubits})
@@ -136,7 +143,7 @@ func Generate(s *compiler.Schedule) (*Program, error) {
 func (p *Program) Count() int64 { return int64(len(p.Instrs)) }
 
 // CompareResult quantifies eQASM's density gain over QuMIS for one
-// schedule.
+// scheduled program.
 type CompareResult struct {
 	QuMIS     int64
 	EQASM     int64
@@ -145,7 +152,7 @@ type CompareResult struct {
 
 // CompareWithEQASM counts both the QuMIS program and the eQASM program
 // under the adopted instantiation (Config 9, w = 2).
-func CompareWithEQASM(s *compiler.Schedule) (CompareResult, error) {
+func CompareWithEQASM(s *ir.Program) (CompareResult, error) {
 	qp, err := Generate(s)
 	if err != nil {
 		return CompareResult{}, err

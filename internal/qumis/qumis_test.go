@@ -6,19 +6,19 @@ import (
 
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
+	"eqasm/internal/ir"
 )
 
-func schedule(t *testing.T, c *compiler.Circuit) *compiler.Schedule {
+func schedule(t *testing.T, c *ir.Program) *ir.Program {
 	t.Helper()
-	s, err := compiler.ASAP(c)
-	if err != nil {
+	if err := (&compiler.Pipeline{}).Append(compiler.PassValidate(), compiler.PassScheduleASAP()).Run(c); err != nil {
 		t.Fatal(err)
 	}
-	return s
+	return c
 }
 
 func TestGenerateSimple(t *testing.T) {
-	c := &compiler.Circuit{NumQubits: 2, Gates: []compiler.Gate{
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		{Name: "X", Qubits: []int{0}},
 		{Name: "X", Qubits: []int{1}},
 		{Name: "Y", Qubits: []int{0}},
@@ -41,9 +41,9 @@ func TestGenerateSimple(t *testing.T) {
 
 // Property 2: a pulse carries at most MaxTargets qubits.
 func TestTargetFieldLimit(t *testing.T) {
-	c := &compiler.Circuit{NumQubits: 7}
+	c := &ir.Program{NumQubits: 7}
 	for q := 0; q < 7; q++ {
-		c.Gates = append(c.Gates, compiler.Gate{Name: "X", Qubits: []int{q}})
+		c.Gates = append(c.Gates, ir.Gate{Name: "X", Qubits: []int{q}})
 	}
 	p, err := Generate(schedule(t, c))
 	if err != nil {
@@ -65,7 +65,7 @@ func TestTargetFieldLimit(t *testing.T) {
 
 // Property 3: different parallel operations cannot share an instruction.
 func TestNoMixedOperations(t *testing.T) {
-	c := &compiler.Circuit{NumQubits: 2, Gates: []compiler.Gate{
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		{Name: "X", Qubits: []int{0}},
 		{Name: "Y", Qubits: []int{1}},
 	}}
@@ -80,7 +80,7 @@ func TestNoMixedOperations(t *testing.T) {
 
 // Property 1: every consecutive timing point costs a wait instruction.
 func TestExplicitWaits(t *testing.T) {
-	c := &compiler.Circuit{NumQubits: 1, Gates: []compiler.Gate{
+	c := &ir.Program{NumQubits: 1, Gates: []ir.Gate{
 		{Name: "X", Qubits: []int{0}},
 		{Name: "Y", Qubits: []int{0}},
 		{Name: "Z", Qubits: []int{0}},
@@ -101,7 +101,7 @@ func TestExplicitWaits(t *testing.T) {
 }
 
 func TestMeasureInstr(t *testing.T) {
-	c := &compiler.Circuit{NumQubits: 2, Gates: []compiler.Gate{
+	c := &ir.Program{NumQubits: 2, Gates: []ir.Gate{
 		{Name: "MEASZ", Qubits: []int{0}, Measure: true},
 		{Name: "MEASZ", Qubits: []int{1}, Measure: true},
 	}}

@@ -220,11 +220,24 @@ func TestCancellationMidJob(t *testing.T) {
 // When queued work fills the bounded queue, further submits are
 // rejected with ErrQueueFull, and the service recovers once it drains.
 func TestQueueSaturation(t *testing.T) {
+	// The first measurement the service runs blocks until released, so
+	// the first job holds the only worker until the rejection is
+	// checked.
+	running, release := make(chan struct{}), make(chan struct{})
+	var hold, freed sync.Once
+	free := func() { freed.Do(func() { close(release) }) }
+	defer free() // a failed check must not leave the worker held
 	svc := newService(t, service.Config{
 		Workers:    1,
 		QueueDepth: 4,
 		BatchShots: 100000, // one batch per job
-		Machine:    []eqasm.Option{eqasm.WithSeed(5)},
+		Machine: []eqasm.Option{eqasm.WithSeed(5), eqasm.WithMockMeasure(func(int, int) int {
+			hold.Do(func() {
+				close(running)
+				<-release
+			})
+			return 1
+		})},
 	})
 	progs := service.SmokePrograms()
 	// One job on the worker, four filling the queue.
@@ -238,11 +251,12 @@ func TestQueueSaturation(t *testing.T) {
 		}
 		jobs = append(jobs, job)
 		if i == 0 {
-			// Make sure the worker has the first job off the queue so
-			// the next four occupy all four slots.
-			deadline := time.Now().Add(10 * time.Second)
-			for job.Status() == eqasm.JobQueued && time.Now().Before(deadline) {
-				time.Sleep(time.Millisecond)
+			// The worker has the first job off the queue, so the next
+			// four occupy all four slots.
+			select {
+			case <-running:
+			case <-time.After(10 * time.Second):
+				t.Fatal("first job never reached the worker")
 			}
 		}
 	}
@@ -256,6 +270,7 @@ func TestQueueSaturation(t *testing.T) {
 		t.Fatalf("stats after rejection: %+v", st)
 	}
 	// The service recovers: the backlog drains and new jobs run.
+	free()
 	for _, job := range jobs {
 		waitResults(t, job)
 	}

@@ -237,25 +237,26 @@ type Circuit struct {
 	Gates     []Gate
 }
 
-func (c *Circuit) internal() *compiler.Circuit {
-	out := &compiler.Circuit{Name: c.Name, NumQubits: c.NumQubits}
-	for _, g := range c.Gates {
-		out.Gates = append(out.Gates, compiler.Gate{
+// lower converts the circuit into the compiler's pipeline IR.
+func (c *Circuit) lower() *ir.Program {
+	p := &ir.Program{Name: c.Name, NumQubits: c.NumQubits, Gates: make([]ir.Gate, len(c.Gates))}
+	for i, g := range c.Gates {
+		p.Gates[i] = ir.Gate{
 			Name:           g.Name,
 			Qubits:         g.Qubits,
 			DurationCycles: g.DurationCycles,
 			Measure:        g.Measure,
 			Angle:          g.Angle,
 			Param:          g.Param,
-		})
+		}
 	}
-	return out
+	return p
 }
 
-// circuitFromInternal lifts a compiler circuit into the public type.
-func circuitFromInternal(c *compiler.Circuit) *Circuit {
-	out := &Circuit{Name: c.Name, NumQubits: c.NumQubits}
-	for _, g := range c.Gates {
+// circuitFromIR lifts a parsed program's circuit into the public type.
+func circuitFromIR(p *ir.Program) *Circuit {
+	out := &Circuit{Name: p.Name, NumQubits: p.NumQubits}
+	for _, g := range p.Gates {
 		out.Gates = append(out.Gates, Gate{
 			Name:           g.Name,
 			Qubits:         g.Qubits,
@@ -285,7 +286,7 @@ func Compile(c *Circuit, opts ...Option) (*Program, error) {
 	if err != nil {
 		return nil, err
 	}
-	return compileIR(cfg, st, c.internal().IR())
+	return compileIR(cfg, st, c.lower())
 }
 
 // ParseCircuit parses cQASM source (the v1.0 subset: qubit
@@ -299,7 +300,7 @@ func ParseCircuit(src string) (*Circuit, error) {
 	if err != nil {
 		return nil, wrapParseErr(err)
 	}
-	return circuitFromInternal(compiler.FromIR(p)), nil
+	return circuitFromIR(p), nil
 }
 
 // CompileCircuit parses cQASM source and compiles it down to an
@@ -337,7 +338,7 @@ func ParseOpenQASM(src string) (*Circuit, error) {
 	if err != nil {
 		return nil, wrapParseErr(err)
 	}
-	return circuitFromInternal(compiler.FromIR(p)), nil
+	return circuitFromIR(p), nil
 }
 
 // CompileOpenQASM parses OpenQASM 2.0 source and compiles it down to
