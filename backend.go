@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/plan"
 	"eqasm/internal/wire"
@@ -15,7 +14,7 @@ import (
 
 // SeedStride separates the random streams of sibling executions: worker
 // (or batch) w runs at base seed + w*SeedStride.
-const SeedStride = core.SeedStride
+const SeedStride = microarch.SeedStride
 
 // RunOptions tunes one Backend execution. The zero value runs the
 // backend's configured defaults (WithShots, WithSeed, WithWorkers).
@@ -177,7 +176,7 @@ type Simulator struct {
 	defaultStack stack
 
 	mu    sync.Mutex
-	pools map[poolKey]*core.SystemPool
+	pools map[poolKey]*microarch.Pool
 }
 
 // poolKey identifies one machine pool: the instruction-set context,
@@ -205,7 +204,7 @@ func NewSimulator(opts ...Option) (*Simulator, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Simulator{cfg: cfg, defaultStack: st, pools: map[poolKey]*core.SystemPool{}}, nil
+	return &Simulator{cfg: cfg, defaultStack: st, pools: map[poolKey]*microarch.Pool{}}, nil
 }
 
 // Seed returns the simulator's base seed (WithSeed).
@@ -216,23 +215,23 @@ func (s *Simulator) Chip() string { return s.defaultStack.topo.Name }
 
 // pool returns the machine pool for one instruction-set context,
 // backend kind and fusion setting, creating it on first use.
-func (s *Simulator) pool(st stack, kind string, noFusion bool) *core.SystemPool {
+func (s *Simulator) pool(st stack, kind string, noFusion bool) *microarch.Pool {
 	key := poolKey{st: st, kind: kind, noFusion: noFusion}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if p, ok := s.pools[key]; ok {
 		return p
 	}
-	p := core.NewSystemPool(core.Options{
-		Topology:         st.topo,
+	p := microarch.NewPool(microarch.Config{
+		Topo:             st.topo,
 		OpConfig:         st.opCfg,
-		Instantiation:    st.inst,
+		Inst:             st.inst,
 		Noise:            s.cfg.noise.internal(),
 		UseDensityMatrix: kind == BackendDensityMatrix,
 		UseStabilizer:    kind == BackendStabilizer,
 		RecordDeviceOps:  s.cfg.trace,
 		MockMeasure:      s.cfg.mock,
-		Microarch:        microarch.Config{DisableFusion: noFusion},
+		DisableFusion:    noFusion,
 	})
 	s.pools[key] = p
 	return p
@@ -400,19 +399,15 @@ func (h *histogram) fill(out map[string]int) {
 
 // fanShots runs p's shots through the machine pool of its context and
 // backend kind, replaying the program's shared execution plan (lowered
-// on first use). A non-nil binding routes through the bound-plan
-// loader, patching the plan's parameter slots.
+// on first use). A non-nil binding, made from that plan, patches its
+// parameter slots.
 func (s *Simulator) fanShots(ctx context.Context, p *Program, b *plan.Binding, kind string, noFusion bool, seed int64, shots, workers int,
 	observe func(shot int, m *microarch.Machine, runErr error) error) error {
-	pool := s.pool(p.st, kind, noFusion)
-	if b != nil {
-		return pool.FanPlanBound(ctx, b, seed, shots, workers, observe)
-	}
 	ex, _, err := p.executable()
 	if err != nil {
 		return err
 	}
-	return pool.FanPlan(ctx, ex, seed, shots, workers, observe)
+	return s.pool(p.st, kind, noFusion).FanPlan(ctx, ex, b, seed, shots, workers, observe)
 }
 
 // runPlan is one request's resolved execution parameters.

@@ -28,7 +28,6 @@ import (
 	"eqasm/internal/asm"
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
-	"eqasm/internal/core"
 	"eqasm/internal/dse"
 	"eqasm/internal/experiments"
 	"eqasm/internal/ir"
@@ -464,37 +463,30 @@ func BenchmarkTomographyMLE(b *testing.B) {
 // multi-core box they beat both serial baselines, on a single-CPU
 // cgroup they track the warm baseline to within scheduling overhead.
 func BenchmarkServiceShotsPerSec(b *testing.B) {
+	// runMachineShots runs m's loaded program shots times, each from
+	// power-on state.
+	runMachineShots := func(b *testing.B, m *microarch.Machine, shots int) {
+		for shot := 0; shot < shots; shot++ {
+			m.Reset()
+			if err := m.Run(); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 	const shots = 512
 	src := service.SmokePrograms()["bell"]
 
 	b.Run("serial_coldstart", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			sys, err := core.NewSystem(core.Options{Seed: 1})
-			if err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.Load(src); err != nil {
-				b.Fatal(err)
-			}
-			if err := sys.RunShots(shots, nil); err != nil {
-				b.Fatal(err)
-			}
+			runMachineShots(b, newMachine(b, microarch.Config{Seed: 1}, src), shots)
 		}
 		b.ReportMetric(float64(b.N)*shots/b.Elapsed().Seconds(), "shots/s")
 	})
 	b.Run("serial_1machine", func(b *testing.B) {
-		sys, err := core.NewSystem(core.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Load(src); err != nil {
-			b.Fatal(err)
-		}
+		m := newMachine(b, microarch.Config{Seed: 1}, src)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if err := sys.RunShots(shots, nil); err != nil {
-				b.Fatal(err)
-			}
+			runMachineShots(b, m, shots)
 		}
 		b.ReportMetric(float64(b.N)*shots/b.Elapsed().Seconds(), "shots/s")
 	})
@@ -681,34 +673,29 @@ func BenchmarkParseOpenQASM(b *testing.B) {
 }
 
 // BenchmarkPublicAPIRunShots compares the public eqasm Backend facade
-// against the raw core shot loop it wraps, shot for shot on the same
+// against the raw machine shot loop it wraps, shot for shot on the same
 // program and seed: the facade (pooled machines, context checks, typed
 // errors, histogram aggregation) must add no measurable per-shot
-// overhead over core.RunShots.
+// overhead over Reset and Run on one machine.
 func BenchmarkPublicAPIRunShots(b *testing.B) {
 	const shots = 256
 	src := service.SmokePrograms()["bell"]
 
-	b.Run("core_RunShots", func(b *testing.B) {
-		sys, err := core.NewSystem(core.Options{Seed: 1})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if err := sys.Load(src); err != nil {
-			b.Fatal(err)
-		}
+	b.Run("machine_loop", func(b *testing.B) {
+		m := newMachine(b, microarch.Config{Seed: 1}, src)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			hist := map[string]int{}
-			err := sys.RunShots(shots, func(_ int, m *microarch.Machine) {
+			for shot := 0; shot < shots; shot++ {
+				m.Reset()
+				if err := m.Run(); err != nil {
+					b.Fatal(err)
+				}
 				key := ""
 				for _, r := range m.Measurements() {
 					key += fmt.Sprint(r.Result)
 				}
 				hist[key]++
-			})
-			if err != nil {
-				b.Fatal(err)
 			}
 		}
 		b.ReportMetric(float64(b.N)*shots/b.Elapsed().Seconds(), "shots/s")
@@ -1025,11 +1012,8 @@ func BenchmarkParamSweep(b *testing.B) {
 // parameter map against a compiled plan's patch table (validation plus
 // one rotation-matrix build and Clifford classification per slot).
 func BenchmarkPlanBind(b *testing.B) {
-	sys, err := core.NewSystem(core.Options{Seed: 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	prog, err := sys.Asm.Assemble(`
+	cfg := chipConfig(microarch.Config{Seed: 1})
+	prog, err := assembler(cfg).Assemble(`
 SMIS S0, {0}
 QWAIT 100
 RX(%theta) S0
@@ -1041,7 +1025,7 @@ STOP
 	if err != nil {
 		b.Fatal(err)
 	}
-	ex, err := plan.Build(prog, sys.Topo, sys.OpConfig)
+	ex, err := plan.Build(prog, cfg.Topo, cfg.OpConfig)
 	if err != nil {
 		b.Fatal(err)
 	}

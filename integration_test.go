@@ -13,7 +13,6 @@ import (
 	"eqasm/internal/asm"
 	"eqasm/internal/benchmarks"
 	"eqasm/internal/compiler"
-	"eqasm/internal/core"
 	"eqasm/internal/ir"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
@@ -133,13 +132,6 @@ func TestSurface17ParityMeasurement(t *testing.T) {
 		{"even |11>", "X D01", 0},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sys, err := core.NewSystem(core.Options{
-				Topology:      topology.Surface17(),
-				Instantiation: isa.Surface17Instantiation(),
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
 			prep := ""
 			switch tc.prep {
 			case "X D0":
@@ -166,10 +158,14 @@ MEASZ S0
 QWAIT 50
 STOP
 `
-			if err := sys.RunAssembly(src); err != nil {
+			m := newMachine(t, microarch.Config{
+				Topo: topology.Surface17(),
+				Inst: isa.Surface17Instantiation(),
+			}, src)
+			if err := m.Run(); err != nil {
 				t.Fatal(err)
 			}
-			recs := sys.Machine.Measurements()
+			recs := m.Measurements()
 			if len(recs) != 1 {
 				t.Fatalf("measurements: %+v", recs)
 			}
@@ -182,14 +178,11 @@ STOP
 
 // The Surface-17 binary round-trips through its own instantiation.
 func TestSurface17BinaryRoundTrip(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{
-		Topology:      topology.Surface17(),
-		Instantiation: isa.Surface17Instantiation(),
+	cfg := chipConfig(microarch.Config{
+		Topo: topology.Surface17(),
+		Inst: isa.Surface17Instantiation(),
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	words, err := sys.Binary(`
+	words, err := assembler(cfg).AssembleToBinary(`
 SMIS S0, {9, 16}
 SMIT T0, {(9, 0)}
 H S0
@@ -199,7 +192,7 @@ STOP
 	if err != nil {
 		t.Fatal(err)
 	}
-	prog, err := isa.Surface17Instantiation().DecodeProgram(words, sys.OpConfig)
+	prog, err := isa.Surface17Instantiation().DecodeProgram(words, cfg.OpConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -216,20 +209,15 @@ STOP
 // measurement records.
 func TestDeterministicExecution(t *testing.T) {
 	run := func() []int {
-		sys, err := core.NewSystem(core.Options{Seed: 99, Noise: quantum.NoiseModel{ReadoutError: 0.2}})
-		if err != nil {
-			t.Fatal(err)
-		}
+		m := newMachine(t, microarch.Config{Seed: 99, Noise: quantum.NoiseModel{ReadoutError: 0.2}},
+			"SMIS S0, {0}\nX90 S0\nMEASZ S0\nSTOP")
 		var out []int
-		err = sys.Load("SMIS S0, {0}\nX90 S0\nMEASZ S0\nSTOP")
-		if err != nil {
-			t.Fatal(err)
-		}
-		err = sys.RunShots(50, func(_ int, m *microarch.Machine) {
+		for shot := 0; shot < 50; shot++ {
+			m.Reset()
+			if err := m.Run(); err != nil {
+				t.Fatalf("shot %d: %v", shot, err)
+			}
 			out = append(out, m.Measurements()[0].Result)
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 		return out
 	}
@@ -244,24 +232,22 @@ func TestDeterministicExecution(t *testing.T) {
 // The assembler and disassembler are mutually inverse over random valid
 // programs (binary fixpoint).
 func TestAssemblerDisassemblerFixpointProperty(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Topology: topology.Surface7()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cfg := chipConfig(microarch.Config{Topo: topology.Surface7()})
+	a := assembler(cfg)
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomAssembly(rng)
-		words, err := sys.Binary(src)
+		words, err := a.AssembleToBinary(src)
 		if err != nil {
 			t.Logf("assemble failed for:\n%s\n%v", src, err)
 			return false
 		}
-		d := asm.NewDisassembler(sys.OpConfig, sys.Topo)
+		d := asm.NewDisassembler(cfg.OpConfig, cfg.Topo)
 		text, err := d.Disassemble(words)
 		if err != nil {
 			return false
 		}
-		words2, err := sys.Binary(text)
+		words2, err := a.AssembleToBinary(text)
 		if err != nil {
 			t.Logf("reassemble failed for:\n%s\n%v", text, err)
 			return false

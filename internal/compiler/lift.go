@@ -100,9 +100,10 @@ func Remap(p *ir.Program, mapping map[int]int, newNumQubits int) (*ir.Program, e
 // Retarget lifts a program from one platform and compiles it for
 // another through the destination's pipeline: the complete
 // cross-platform conversion the paper's conclusion sketches. The
-// mapping renames physical qubits; the lifted gates keep the durations
-// the source configuration gives them when the destination pipeline
-// reschedules them.
+// mapping renames physical qubits, and every lifted gate takes its
+// duration from the destination configuration before the destination
+// pipeline reschedules it; an operation the destination does not
+// define is an error.
 func Retarget(p *isa.Program, srcCfg *isa.OpConfig, srcTopo *topology.Topology,
 	dst PipelineConfig, mapping map[int]int) (*isa.Program, error) {
 	circ, err := Lift(p, srcCfg, srcTopo)
@@ -112,6 +113,14 @@ func Retarget(p *isa.Program, srcCfg *isa.OpConfig, srcTopo *topology.Topology,
 	remapped, err := Remap(circ, mapping, dst.Topo.NumQubits)
 	if err != nil {
 		return nil, err
+	}
+	for i := range remapped.Gates {
+		g := &remapped.Gates[i]
+		def, ok := dst.Config.ByName(g.Name)
+		if !ok {
+			return nil, fmt.Errorf("compiler: gate %d: operation %q not configured on the destination", i, g.Name)
+		}
+		g.DurationCycles = def.DurationCycles
 	}
 	pl, err := NewPipeline(dst)
 	if err != nil {

@@ -2,6 +2,7 @@ package compiler
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"eqasm/internal/ir"
@@ -180,5 +181,63 @@ func TestRetargetRejectsDisallowedPair(t *testing.T) {
 	// Data qubits 0 and 1 are never directly coupled.
 	if _, err := Retarget(prog, cfg, src, surface17Config(), map[int]int{2: 0, 0: 1}); err == nil {
 		t.Fatal("unroutable retarget accepted")
+	}
+}
+
+// Retargeted gates take the destination's durations: onto a chip whose
+// CZ lasts 4 cycles, the H that follows the CZ on the same qubit waits
+// 4 cycles, not the source chip's 2.
+func TestRetargetUsesDestinationDurations(t *testing.T) {
+	cfg := isa.DefaultConfig()
+	src := topology.TwoQubit()
+	circ := &ir.Program{NumQubits: 3, Gates: []ir.Gate{
+		{Name: "CZ", Qubits: []int{2, 0}},
+		lin("H", 0),
+	}}
+	pc := twoQubit(false)
+	pc.AppendStop = true
+	prog := compile(t, circ, pc)
+
+	dst := twoQubit(false)
+	dst.AppendStop = true
+	dst.Config = isa.DefaultConfig()
+	cz, _ := dst.Config.ByName("CZ")
+	cz.DurationCycles = 4
+	out, err := Retarget(prog, cfg, src, dst, map[int]int{0: 0, 2: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Walk the timeline: bundles advance it by their pre-interval,
+	// QWAITs by their immediate.
+	var now, czAt, hAt int64 = 0, -1, -1
+	for _, ins := range out.Instrs {
+		switch ins.Op {
+		case isa.OpQWAIT:
+			now += int64(ins.Imm)
+		case isa.OpBundle:
+			now += int64(ins.PI)
+			for _, q := range ins.QOps {
+				switch q.Name {
+				case "CZ":
+					czAt = now
+				case "H":
+					hAt = now
+				}
+			}
+		}
+	}
+	if czAt < 0 || hAt < 0 {
+		t.Fatalf("retargeted program lost a gate:\n%v", out.Instrs)
+	}
+	if got := hAt - czAt; got != 4 {
+		t.Fatalf("H issued %d cycles after the 4-cycle CZ, want 4", got)
+	}
+
+	// An operation the destination does not define is named.
+	dst.Config = isa.NewOpConfig(isa.DefaultCycleNs)
+	dst.Config.MustDefine(isa.OpDef{Name: "CZ", Kind: isa.OpKindTwo, DurationCycles: 2})
+	if _, err := Retarget(prog, cfg, src, dst, map[int]int{0: 0, 2: 2}); err == nil ||
+		!strings.Contains(err.Error(), `"H"`) {
+		t.Fatalf("retarget onto a chip without H: err = %v, want one naming \"H\"", err)
 	}
 }

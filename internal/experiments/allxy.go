@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
@@ -105,7 +104,7 @@ func RunAllXY(opts AllXYOptions) (*AllXYResult, error) {
 	if opts.Qubits == [2]int{} {
 		opts.Qubits = [2]int{0, 2}
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		Noise:            opts.Noise,
 		Seed:             opts.Seed,
 		UseDensityMatrix: true,
@@ -119,11 +118,15 @@ func RunAllXY(opts AllXYOptions) (*AllXYResult, error) {
 		pairA := j / 2
 		pairB := j % 21
 		src := allxyProgram(opts.Qubits[0], opts.Qubits[1], AllXYPairs[pairA], AllXYPairs[pairB])
-		if err := sys.Load(src); err != nil {
+		if err := load(m, src); err != nil {
 			return nil, fmt.Errorf("allxy round %d: %w", j, err)
 		}
 		var ones [2]int
-		err := sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
+		for shot := 0; shot < opts.Shots; shot++ {
+			m.Reset()
+			if err := m.Run(); err != nil {
+				return nil, fmt.Errorf("allxy round %d shot %d: %w", j, shot, err)
+			}
 			for _, rec := range m.Measurements() {
 				switch rec.Qubit {
 				case opts.Qubits[0]:
@@ -132,9 +135,6 @@ func RunAllXY(opts AllXYOptions) (*AllXYResult, error) {
 					ones[1] += rec.Result
 				}
 			}
-		})
-		if err != nil {
-			return nil, fmt.Errorf("allxy round %d: %w", j, err)
 		}
 		pt := AllXYPoint{Index: j, PairA: pairA, PairB: pairB}
 		pt.Ideal = [2]float64{AllXYIdeal(pairA), AllXYIdeal(pairB)}

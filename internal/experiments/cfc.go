@@ -3,8 +3,8 @@ package experiments
 import (
 	"fmt"
 
-	"eqasm/internal/core"
 	"eqasm/internal/isa"
+	"eqasm/internal/microarch"
 	"eqasm/internal/topology"
 )
 
@@ -41,8 +41,8 @@ func RunCFC(opts CFCOptions) (*CFCResult, error) {
 	if mock == nil {
 		mock = func(round int) int { return round % 2 }
 	}
-	sys, err := core.NewSystem(core.Options{
-		Topology:        topology.Surface7(),
+	m, err := newMachine(microarch.Config{
+		Topo:            topology.Surface7(),
 		RecordDeviceOps: true,
 		MockMeasure: func(q, idx int) int {
 			return mock(idx)
@@ -75,11 +75,11 @@ CMP R3, R2
 BR LT, loop
 STOP
 `, opts.Rounds)
-	if err := sys.RunAssembly(src); err != nil {
+	if err := runSource(m, src); err != nil {
 		return nil, err
 	}
 	res := &CFCResult{}
-	for _, op := range sys.Machine.DeviceTrace() {
+	for _, op := range m.DeviceTrace() {
 		if op.Qubit == 0 && op.Channel == isa.ChanMicrowave && !op.Cancelled {
 			res.Ops = append(res.Ops, op.OpName)
 		}

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
@@ -119,7 +118,7 @@ func RunGrover(opts GroverOptions) (*GroverResult, error) {
 	if opts.Marked < 0 || opts.Marked > 3 {
 		return nil, fmt.Errorf("experiments: marked element %d outside 0-3", opts.Marked)
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		Noise: opts.Noise,
 		Seed:  opts.Seed,
 	})
@@ -133,11 +132,15 @@ func RunGrover(opts GroverOptions) (*GroverResult, error) {
 	for _, ba := range bases {
 		for _, bb := range bases {
 			src := groverProgram(opts.Marked, basisPreRotation(ba), basisPreRotation(bb))
-			if err := sys.Load(src); err != nil {
+			if err := load(m, src); err != nil {
 				return nil, err
 			}
 			var outcomes []int
-			err := sys.RunShots(opts.ShotsPerSetting, func(_ int, m *microarch.Machine) {
+			for shot := 0; shot < opts.ShotsPerSetting; shot++ {
+				m.Reset()
+				if err := m.Run(); err != nil {
+					return nil, fmt.Errorf("grover shot %d: %w", shot, err)
+				}
 				bits := 0
 				for _, r := range m.Measurements() {
 					switch r.Qubit {
@@ -148,9 +151,6 @@ func RunGrover(opts GroverOptions) (*GroverResult, error) {
 					}
 				}
 				outcomes = append(outcomes, bits)
-			})
-			if err != nil {
-				return nil, err
 			}
 			// Each setting estimates three Pauli strings (logical qubit 0
 			// = physical 0, logical 1 = physical 2).

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"eqasm/internal/core"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
@@ -175,7 +174,7 @@ func RunIQPE(opts IQPEOptions) (*IQPEResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		OpConfig: cfg,
 		Noise:    opts.Noise,
 		Seed:     opts.Seed,
@@ -184,7 +183,7 @@ func RunIQPE(opts IQPEOptions) (*IQPEResult, error) {
 		return nil, err
 	}
 	src := iqpeProgram(opts.Bits)
-	if err := sys.Load(src); err != nil {
+	if err := load(m, src); err != nil {
 		return nil, err
 	}
 	res := &IQPEResult{
@@ -194,22 +193,23 @@ func RunIQPE(opts IQPEOptions) (*IQPEResult, error) {
 		Program:        src,
 	}
 	hits := 0
-	err = sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < opts.Shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			return nil, fmt.Errorf("iqpe shot %d: %w", shot, err)
+		}
 		// The program publishes the estimate in data memory word 0; the
 		// bits arrive LSB-first so the accumulator already holds the
 		// numerator.
 		v, err := m.ReadWord(0)
 		if err != nil {
-			return
+			continue
 		}
 		est := int(v)
 		res.Histogram[est]++
 		if est == opts.PhaseNumerator {
 			hits++
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	res.SuccessRate = float64(hits) / float64(opts.Shots)
 	return res, nil

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 )
 
@@ -32,7 +31,7 @@ func MeasureLatencies() (*LatencyResult, error) {
 	// Fast conditional execution: prepare |1> so the C_X must fire; find
 	// the smallest wait where the execution flag has updated in time.
 	for q := 15; q <= 120; q++ {
-		sys, err := core.NewSystem(core.Options{RecordDeviceOps: true})
+		m, err := newMachine(microarch.Config{RecordDeviceOps: true})
 		if err != nil {
 			return nil, err
 		}
@@ -44,14 +43,14 @@ QWAIT %d
 0, C_X S0
 STOP
 `, q)
-		if err := sys.RunAssembly(src); err != nil {
+		if err := runSource(m, src); err != nil {
 			var verr *microarch.TimingViolationError
 			if errors.As(err, &verr) {
 				continue
 			}
 			return nil, err
 		}
-		lat, ok := condOpLatency(sys, "C_X")
+		lat, ok := condOpLatency(m, "C_X")
 		if !ok {
 			continue // flag not updated yet: operation was cancelled
 		}
@@ -66,7 +65,7 @@ STOP
 	// CFC: the Fig. 5 flow with the branch taken; find the smallest wait
 	// without a timing violation.
 	for q := 15; q <= 200; q++ {
-		sys, err := core.NewSystem(core.Options{RecordDeviceOps: true})
+		m, err := newMachine(microarch.Config{RecordDeviceOps: true})
 		if err != nil {
 			return nil, err
 		}
@@ -86,15 +85,14 @@ Y S0
 done:
 STOP
 `, q)
-		err = sys.RunAssembly(src)
-		if err != nil {
+		if err := runSource(m, src); err != nil {
 			var verr *microarch.TimingViolationError
 			if errors.As(err, &verr) {
 				continue
 			}
 			return nil, err
 		}
-		lat, ok := condOpLatency(sys, "Y")
+		lat, ok := condOpLatency(m, "Y")
 		if !ok {
 			return nil, fmt.Errorf("experiments: CFC did not take the measured-1 path at wait %d", q)
 		}
@@ -110,13 +108,13 @@ STOP
 
 // condOpLatency returns the time from the measurement result entering the
 // controller to the named conditional operation's codeword leaving it.
-func condOpLatency(sys *core.System, opName string) (int64, bool) {
-	recs := sys.Machine.Measurements()
+func condOpLatency(m *microarch.Machine, opName string) (int64, bool) {
+	recs := m.Measurements()
 	if len(recs) == 0 {
 		return 0, false
 	}
 	resultNs := recs[len(recs)-1].ResultNs
-	for _, op := range sys.Machine.DeviceTrace() {
+	for _, op := range m.DeviceTrace() {
 		if op.OpName == opName && !op.Cancelled && op.TimeNs > resultNs {
 			return op.TimeNs - resultNs, true
 		}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"eqasm/internal/core"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
@@ -69,7 +68,7 @@ func RunRamsey(opts RamseyOptions) (*RamseyResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		sys, err := core.NewSystem(core.Options{
+		m, err := newMachine(microarch.Config{
 			OpConfig: cfg,
 			Noise:    opts.Noise,
 			Seed:     opts.Seed + int64(d),
@@ -89,18 +88,18 @@ MEASZ S0
 QWAIT 50
 STOP
 `, opts.Qubit, d, rzName)
-		if err := sys.Load(src); err != nil {
+		if err := load(m, src); err != nil {
 			return nil, err
 		}
 		ones := 0
-		err = sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
-			recs := m.Measurements()
-			if len(recs) == 1 {
+		for shot := 0; shot < opts.Shots; shot++ {
+			m.Reset()
+			if err := m.Run(); err != nil {
+				return nil, fmt.Errorf("ramsey shot %d: %w", shot, err)
+			}
+			if recs := m.Measurements(); len(recs) == 1 {
 				ones += recs[0].Result
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
 		pt := RamseyPoint{
 			DelayNs: delayNs,

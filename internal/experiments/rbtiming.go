@@ -6,8 +6,8 @@ import (
 	"math/rand"
 	"strings"
 
-	"eqasm/internal/core"
 	"eqasm/internal/isa"
+	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
 
@@ -93,7 +93,7 @@ func RunRBTiming(opts RBTimingOptions) (*RBTimingResult, error) {
 		def.Seed = opts.Seed
 		opts = def
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		Noise:            opts.Noise,
 		Seed:             opts.Seed,
 		UseDensityMatrix: true,
@@ -106,7 +106,7 @@ func RunRBTiming(opts RBTimingOptions) (*RBTimingResult, error) {
 	for _, iv := range opts.IntervalsCycles {
 		curve := RBCurve{
 			IntervalCycles: iv,
-			IntervalNs:     float64(iv) * float64(sys.Machine.CycleNs()),
+			IntervalNs:     float64(iv) * float64(m.CycleNs()),
 			Lengths:        opts.Lengths,
 		}
 		for _, k := range opts.Lengths {
@@ -114,14 +114,14 @@ func RunRBTiming(opts RBTimingOptions) (*RBTimingResult, error) {
 			for r := 0; r < opts.Randomizations; r++ {
 				seq := quantum.NewRBSequence(k, rng)
 				prog := rbProgram(opts.Qubit, seq.Primitives(), iv)
-				if err := sys.LoadProgram(prog); err != nil {
+				if err := m.LoadProgram(prog); err != nil {
 					return nil, fmt.Errorf("rb interval %d k %d: %w", iv, k, err)
 				}
-				sys.Machine.Reset()
-				if err := sys.Machine.Run(); err != nil {
+				m.Reset()
+				if err := m.Run(); err != nil {
 					return nil, fmt.Errorf("rb interval %d k %d: %w", iv, k, err)
 				}
-				sum += 1 - sys.Machine.Backend().Prob1(opts.Qubit)
+				sum += 1 - m.Backend().Prob1(opts.Qubit)
 			}
 			curve.Survival = append(curve.Survival, sum/float64(opts.Randomizations))
 		}

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
@@ -41,7 +40,7 @@ func RunReset(opts ResetOptions) (*ResetResult, error) {
 	if opts.Qubit == 0 {
 		opts.Qubit = 2
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		Noise: opts.Noise,
 		Seed:  opts.Seed,
 	})
@@ -59,15 +58,19 @@ MEASZ S2
 QWAIT 50
 STOP
 `, opts.Qubit)
-	if err := sys.Load(src); err != nil {
+	if err := load(m, src); err != nil {
 		return nil, err
 	}
 	res := &ResetResult{Shots: opts.Shots}
 	var zeros, flips, firstOnes int
-	err = sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < opts.Shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			return nil, fmt.Errorf("reset shot %d: %w", shot, err)
+		}
 		recs := m.Measurements()
 		if len(recs) != 2 {
-			return
+			continue
 		}
 		if recs[0].Result == 1 {
 			firstOnes++
@@ -78,9 +81,6 @@ STOP
 		if recs[1].Result == 0 {
 			zeros++
 		}
-	})
-	if err != nil {
-		return nil, err
 	}
 	res.P0 = float64(zeros) / float64(opts.Shots)
 	res.PFlipApplied = float64(flips) / float64(opts.Shots)

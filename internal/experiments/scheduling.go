@@ -5,9 +5,9 @@ import (
 	"math/rand"
 
 	"eqasm/internal/compiler"
-	"eqasm/internal/core"
 	"eqasm/internal/ir"
 	"eqasm/internal/isa"
+	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 	"eqasm/internal/topology"
 )
@@ -81,13 +81,10 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 
 	// The ideal final state for fidelity reference.
 	ideal := quantum.NewState(3, rand.New(rand.NewSource(1)))
-	cfgRef, err := core.NewSystem(core.Options{})
-	if err != nil {
-		return nil, err
-	}
+	opCfg := isa.DefaultConfig()
 	for _, i := range asap.Order {
 		g := asap.Gates[i]
-		def, ok := cfgRef.OpConfig.ByName(g.Name)
+		def, ok := opCfg.ByName(g.Name)
 		if !ok {
 			return nil, fmt.Errorf("experiments: op %q missing", g.Name)
 		}
@@ -103,7 +100,7 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 	}
 
 	run := func(p *ir.Program) (float64, error) {
-		sys, err := core.NewSystem(core.Options{
+		m, err := newMachine(microarch.Config{
 			Noise:            opts.Noise,
 			Seed:             opts.Seed,
 			UseDensityMatrix: true,
@@ -111,13 +108,13 @@ func RunSchedulingComparison(opts SchedulingOptions) (*SchedulingComparison, err
 		if err != nil {
 			return 0, err
 		}
-		if err := sys.LoadProgram(p.Code); err != nil {
+		if err := m.LoadProgram(p.Code); err != nil {
 			return 0, err
 		}
-		if err := sys.Run(); err != nil {
+		if err := m.Run(); err != nil {
 			return 0, err
 		}
-		dm := sys.Machine.Backend().(*quantum.DMBackend)
+		dm := m.Backend().(*quantum.DMBackend)
 		return dm.Density.FidelityPure(psi), nil
 	}
 	if res.ASAPFidelity, err = run(asap); err != nil {

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
@@ -43,7 +42,7 @@ func RunT1(opts T1Options) (*T1Result, error) {
 	if opts.Shots == 0 {
 		opts.Shots = 800
 	}
-	sys, err := core.NewSystem(core.Options{
+	m, err := newMachine(microarch.Config{
 		Noise:            opts.Noise,
 		Seed:             opts.Seed,
 		UseDensityMatrix: true,
@@ -63,21 +62,21 @@ MEASZ S0
 QWAIT 50
 STOP
 `, opts.Qubit, d)
-		if err := sys.Load(src); err != nil {
+		if err := load(m, src); err != nil {
 			return nil, err
 		}
 		ones := 0
-		err := sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
-			recs := m.Measurements()
-			if len(recs) == 1 {
+		for shot := 0; shot < opts.Shots; shot++ {
+			m.Reset()
+			if err := m.Run(); err != nil {
+				return nil, fmt.Errorf("t1 shot %d: %w", shot, err)
+			}
+			if recs := m.Measurements(); len(recs) == 1 {
 				ones += recs[0].Result
 			}
-		})
-		if err != nil {
-			return nil, err
 		}
 		res.Points = append(res.Points, T1Point{
-			DelayNs: float64(d) * float64(sys.Machine.CycleNs()),
+			DelayNs: float64(d) * float64(m.CycleNs()),
 			P1:      ReadoutCorrect(float64(ones)/float64(opts.Shots), opts.Noise.ReadoutError),
 		})
 	}

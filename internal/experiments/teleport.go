@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 
-	"eqasm/internal/core"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
@@ -104,16 +103,16 @@ func RunTeleport(opts TeleportOptions) (*TeleportResult, error) {
 	if opts.Shots == 0 {
 		opts.Shots = 400
 	}
-	sys, err := core.NewSystem(core.Options{
-		Topology:      topology.Surface17(),
-		Instantiation: isa.Surface17Instantiation(),
-		Noise:         opts.Noise,
-		Seed:          opts.Seed,
+	m, err := newMachine(microarch.Config{
+		Topo:  topology.Surface17(),
+		Inst:  isa.Surface17Instantiation(),
+		Noise: opts.Noise,
+		Seed:  opts.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	if err := sys.Load(teleportProgram(opts.PrepareName, opts.InverseName)); err != nil {
+	if err := load(m, teleportProgram(opts.PrepareName, opts.InverseName)); err != nil {
 		return nil, err
 	}
 	res := &TeleportResult{
@@ -122,7 +121,11 @@ func RunTeleport(opts TeleportOptions) (*TeleportResult, error) {
 	}
 	successes := map[int]int{}
 	total := 0
-	err = sys.RunShots(opts.Shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < opts.Shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			return nil, fmt.Errorf("teleport shot %d: %w", shot, err)
+		}
 		var mz, mx, final, haveFinal = -1, -1, -1, false
 		for _, r := range m.Measurements() {
 			switch r.Qubit {
@@ -136,7 +139,7 @@ func RunTeleport(opts TeleportOptions) (*TeleportResult, error) {
 			}
 		}
 		if mz < 0 || mx < 0 || !haveFinal {
-			return
+			continue
 		}
 		branch := mz<<1 | mx
 		res.CorrectionHistogram[branch]++
@@ -144,9 +147,6 @@ func RunTeleport(opts TeleportOptions) (*TeleportResult, error) {
 			successes[branch]++
 		}
 		total++
-	})
-	if err != nil {
-		return nil, err
 	}
 	if total == 0 {
 		return nil, fmt.Errorf("experiments: teleport produced no complete shots")

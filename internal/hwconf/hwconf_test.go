@@ -6,8 +6,9 @@ import (
 	"path/filepath"
 	"testing"
 
-	"eqasm/internal/core"
+	"eqasm/internal/asm"
 	"eqasm/internal/isa"
+	"eqasm/internal/microarch"
 	"eqasm/internal/quantum"
 )
 
@@ -43,18 +44,18 @@ func TestParseTwoQubitChip(t *testing.T) {
 	}
 }
 
-// A configuration file drives the full stack: build a system from it and
-// run the active-reset program.
+// A configuration file drives the full stack: assemble under it, build a
+// machine from it and run the active-reset program.
 func TestConfigFileDrivesFullStack(t *testing.T) {
 	topo, cfg, err := Parse([]byte(TwoQubitChipJSON))
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.NewSystem(core.Options{Topology: topo, OpConfig: cfg})
+	m, err := microarch.New(microarch.Config{Topo: topo, OpConfig: cfg})
 	if err != nil {
 		t.Fatal(err)
 	}
-	err = sys.RunAssembly(`
+	prog, err := asm.New(cfg, topo).Assemble(`
 SMIS S2, {2}
 QWAIT 100
 X90 S2
@@ -68,7 +69,13 @@ STOP
 	if err != nil {
 		t.Fatal(err)
 	}
-	recs := sys.Machine.Measurements()
+	if err := m.LoadProgram(prog); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.Run(); err != nil {
+		t.Fatal(err)
+	}
+	recs := m.Measurements()
 	if len(recs) != 2 || recs[1].Result != 0 {
 		t.Fatalf("active reset through config file failed: %+v", recs)
 	}

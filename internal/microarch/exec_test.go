@@ -253,6 +253,14 @@ func TestAccessorsAndLoadBinary(t *testing.T) {
 	}
 }
 
+// Running before any program upload is an error, not a crash.
+func TestRunWithoutProgram(t *testing.T) {
+	m, _ := newTwoQubitMachine(t, Config{})
+	if err := m.Run(); err == nil {
+		t.Fatal("Run without a loaded program succeeded")
+	}
+}
+
 func TestStringersMicroarch(t *testing.T) {
 	for _, s := range []fmt.Stringer{SelNone, SelSrc, SelTgt, SelSingle,
 		RoleSingle, RoleSrc, RoleTgt, RoleMeasure} {

@@ -247,6 +247,9 @@ func (m *Machine) loadPlan(ex *plan.Executable, b *plan.Binding) error {
 	if ex == nil {
 		return fmt.Errorf("microarch: nil execution plan")
 	}
+	if b != nil && b.Plan() != ex {
+		return fmt.Errorf("microarch: binding belongs to another execution plan")
+	}
 	if ex.Topology() != m.cfg.Topo || ex.OpConfig() != m.cfg.OpConfig {
 		return fmt.Errorf("microarch: plan lowered for chip %q with a different instruction-set context than the machine's %q",
 			ex.Topology().Name, m.cfg.Topo.Name)
@@ -588,6 +591,11 @@ func (m *Machine) markMemWritten(hi int) {
 // Backend exposes the simulated chip (tests and experiments read exact
 // state probabilities from it).
 func (m *Machine) Backend() quantum.Backend { return m.backend }
+
+// Config returns the machine's configuration, defaults resolved: its
+// Topo, OpConfig and Inst are the instruction-set context a program
+// must be assembled under to run here.
+func (m *Machine) Config() Config { return m.cfg }
 
 // Reseed restarts the chip's random stream when the backend supports it
 // (the shipped simulators do; custom backends may not), reporting

@@ -388,7 +388,7 @@ func gate2KindName(k quantum.Gate2Kind) string {
 // and every machine running under it — shares one pre-built
 // microcode table. Keys are weak: when a configuration becomes
 // unreachable its entry is removed, so callers that build throwaway
-// configurations (every defaulted NewSystem allocates one) do not grow
+// configurations (isa.DefaultConfig allocates one per call) do not grow
 // the cache without bound.
 var (
 	controlStoresMu sync.Mutex

@@ -111,11 +111,9 @@ func (b *SVBackend) Prob1(q int) float64 { return b.State.Prob1(q) }
 // Reseed restarts the backend's random stream as if it had been built
 // with NewSVBackend(n, noise, seed). Together with Reset this returns
 // the simulator to its power-on state, letting machine pools reuse
-// allocations across jobs without losing seeded reproducibility.
-func (b *SVBackend) Reseed(seed int64) {
-	b.rng = rand.New(rand.NewSource(seed))
-	b.State.SetRNG(b.rng)
-}
+// allocations across jobs without losing seeded reproducibility. The
+// stream is reseeded in place, so a pooled checkout allocates nothing.
+func (b *SVBackend) Reseed(seed int64) { b.rng.Seed(seed) }
 
 // DMBackend implements Backend over the exact density-matrix simulator.
 // Measurements still sample an outcome (the microarchitecture needs a
@@ -140,8 +138,9 @@ func NewDMBackend(n int, noise NoiseModel, seed int64) *DMBackend {
 func (b *DMBackend) NumQubits() int { return b.Density.NumQubits() }
 
 // Reseed restarts the measurement-sampling stream as if the backend had
-// been built with NewDMBackend(n, noise, seed) (see SVBackend.Reseed).
-func (b *DMBackend) Reseed(seed int64) { b.rng = rand.New(rand.NewSource(seed)) }
+// been built with NewDMBackend(n, noise, seed), in place (see
+// SVBackend.Reseed).
+func (b *DMBackend) Reseed(seed int64) { b.rng.Seed(seed) }
 
 // Reset implements Backend.
 func (b *DMBackend) Reset() { b.Density.Reset() }

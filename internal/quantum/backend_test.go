@@ -2,6 +2,7 @@ package quantum
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 )
 
@@ -81,4 +82,60 @@ func TestBackendPanicsOnInvalidNoise(t *testing.T) {
 		}
 	}()
 	NewSVBackend(1, NoiseModel{T1Ns: -5}, 1)
+}
+
+// reseedDraws is how many draws the reseed stream tests compare.
+const reseedDraws = 10_000
+
+// sameStream fails unless got and want yield the same next reseedDraws
+// values.
+func sameStream(t *testing.T, got, want *rand.Rand) {
+	t.Helper()
+	for i := 0; i < reseedDraws; i++ {
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("draw %d: reseeded stream %d, fresh stream %d", i, g, w)
+		}
+	}
+}
+
+// A state-vector backend that has been drawn from and then reseeded to
+// s continues exactly as one freshly built at s, on the stream both the
+// backend and its state sample from.
+func TestSVBackendReseedStream(t *testing.T) {
+	b := NewSVBackend(2, NoiseModel{ReadoutError: 0.1}, 1)
+	for i := 0; i < 50; i++ {
+		b.Apply1(Hadamard, 0, 20)
+		b.Measure(0, 300)
+	}
+	b.Reseed(42)
+	if b.State.rng != b.rng {
+		t.Fatal("state and backend sample from different streams after Reseed")
+	}
+	sameStream(t, b.rng, NewSVBackend(2, NoiseModel{ReadoutError: 0.1}, 42).rng)
+}
+
+func TestSVBackendReseedAllocs(t *testing.T) {
+	b := NewSVBackend(2, Ideal(), 1)
+	if n := testing.AllocsPerRun(100, func() { b.Reseed(42) }); n != 0 {
+		t.Fatalf("Reseed allocates %v times, want 0", n)
+	}
+}
+
+// The density-matrix backend's measurement-sampling stream reseeds the
+// same way.
+func TestDMBackendReseedStream(t *testing.T) {
+	b := NewDMBackend(2, Ideal(), 1)
+	for i := 0; i < 50; i++ {
+		b.Apply1(Hadamard, 0, 20)
+		b.Measure(0, 300)
+	}
+	b.Reseed(42)
+	sameStream(t, b.rng, NewDMBackend(2, Ideal(), 42).rng)
+}
+
+func TestDMBackendReseedAllocs(t *testing.T) {
+	b := NewDMBackend(2, Ideal(), 1)
+	if n := testing.AllocsPerRun(100, func() { b.Reseed(42) }); n != 0 {
+		t.Fatalf("Reseed allocates %v times, want 0", n)
+	}
 }

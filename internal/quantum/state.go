@@ -35,7 +35,7 @@ func NewState(n int, rng *rand.Rand) *State {
 func (s *State) NumQubits() int { return s.n }
 
 // SetRNG replaces the random stream used for measurement sampling and
-// trajectory noise (backend reseeding for simulator reuse).
+// trajectory noise.
 func (s *State) SetRNG(rng *rand.Rand) { s.rng = rng }
 
 // Reset returns the register to |0...0>.

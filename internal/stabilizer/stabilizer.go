@@ -86,8 +86,9 @@ func (b *Backend) Reset() {
 
 // Reseed restarts the backend's random stream as if it had been built
 // with New(n, seed), letting machine pools reuse allocations across jobs
-// without losing seeded reproducibility.
-func (b *Backend) Reseed(seed int64) { b.rng = rand.New(rand.NewSource(seed)) }
+// without losing seeded reproducibility. The stream is reseeded in
+// place, so a pooled checkout allocates nothing.
+func (b *Backend) Reseed(seed int64) { b.rng.Seed(seed) }
 
 // Idle implements quantum.Backend. The tableau models ideal qubits (the
 // selection layers only route noiseless plans here), so idling is free.

@@ -200,3 +200,27 @@ func sizeName(n int) string {
 		return "n1024"
 	}
 }
+
+// A tableau backend that has been drawn from and then reseeded to s
+// yields the same next 10k draws as one freshly built at s.
+func TestReseedStream(t *testing.T) {
+	b := New(2, 1)
+	for i := 0; i < 50; i++ {
+		b.Apply1(quantum.Hadamard, 0, 0)
+		b.Measure(0, 0)
+	}
+	b.Reseed(42)
+	fresh := New(2, 42)
+	for i := 0; i < 10_000; i++ {
+		if g, w := b.rng.Int63(), fresh.rng.Int63(); g != w {
+			t.Fatalf("draw %d: reseeded stream %d, fresh stream %d", i, g, w)
+		}
+	}
+}
+
+func TestReseedAllocs(t *testing.T) {
+	b := New(2, 1)
+	if n := testing.AllocsPerRun(100, func() { b.Reseed(42) }); n != 0 {
+		t.Fatalf("Reseed allocates %v times, want 0", n)
+	}
+}

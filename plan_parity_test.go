@@ -24,7 +24,7 @@ import (
 	"strings"
 	"testing"
 
-	"eqasm/internal/core"
+	"eqasm/internal/asm"
 	"eqasm/internal/isa"
 	"eqasm/internal/microarch"
 	"eqasm/internal/plan"
@@ -65,23 +65,60 @@ func recordShot(m *microarch.Machine) shotRecord {
 	return r
 }
 
-// runShots executes shots repetitions on a fresh system and returns
-// the per-shot records.
-func runShots(t *testing.T, opts core.Options, src string, shots int) []shotRecord {
+// chipConfig fills in the two-qubit validation chip, the Section 5
+// gate set and the paper's instantiation where cfg names none.
+func chipConfig(cfg microarch.Config) microarch.Config {
+	if cfg.Topo == nil {
+		cfg.Topo = topology.TwoQubit()
+	}
+	if cfg.OpConfig == nil {
+		cfg.OpConfig = isa.DefaultConfig()
+	}
+	if cfg.Inst.VLIWWidth == 0 {
+		cfg.Inst = isa.Default
+	}
+	return cfg
+}
+
+// assembler returns the assembler of a chipConfig-resolved context.
+func assembler(cfg microarch.Config) *asm.Assembler {
+	a := asm.New(cfg.OpConfig, cfg.Topo)
+	a.Inst = cfg.Inst
+	return a
+}
+
+// newMachine builds a machine from chipConfig(cfg) and loads src
+// assembled under its context.
+func newMachine(t testing.TB, cfg microarch.Config, src string) *microarch.Machine {
 	t.Helper()
-	sys, err := core.NewSystem(opts)
+	cfg = chipConfig(cfg)
+	m, err := microarch.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Load(src); err != nil {
+	p, err := assembler(cfg).Assemble(src)
+	if err != nil {
 		t.Fatal(err)
 	}
+	if err := m.LoadProgram(p); err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
+// runShots executes shots repetitions on a fresh machine, each from
+// power-on state with the random stream continuing, and returns the
+// per-shot records.
+func runShots(t *testing.T, cfg microarch.Config, src string, shots int) []shotRecord {
+	t.Helper()
+	m := newMachine(t, cfg, src)
 	var records []shotRecord
-	err = sys.RunShots(shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			t.Fatalf("shot %d: %v", shot, err)
+		}
 		records = append(records, recordShot(m))
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return records
 }
@@ -122,13 +159,13 @@ func fixtureTopo(src string) string {
 	return ""
 }
 
-// applyFixtureTopo binds opts to a fixture's declared chip. Only the
+// applyFixtureTopo binds cfg to a fixture's declared chip. Only the
 // chain<N> family is supported (the default-chip fixtures carry no
 // directive).
-func applyFixtureTopo(t *testing.T, opts core.Options, name string) core.Options {
+func applyFixtureTopo(t *testing.T, cfg microarch.Config, name string) microarch.Config {
 	t.Helper()
 	if name == "" {
-		return opts
+		return cfg
 	}
 	digits, ok := strings.CutPrefix(name, "chain")
 	if !ok {
@@ -141,15 +178,15 @@ func applyFixtureTopo(t *testing.T, opts core.Options, name string) core.Options
 	topo := topology.Chain(n)
 	inst := isa.ChainInstantiation(n)
 	inst.PairTopology = topo
-	opts.Topology = topo
-	opts.Instantiation = inst
-	return opts
+	cfg.Topo = topo
+	cfg.Inst = inst
+	return cfg
 }
 
 // goldenRun is one (configuration, seed) cell of a fixture's golden.
 type goldenRun struct {
 	cfg   string
-	opts  core.Options
+	opts  microarch.Config
 	seed  int64
 	shots int
 }
@@ -173,12 +210,12 @@ func goldenRuns(t *testing.T, topoName string) []goldenRun {
 	}
 	configs := []struct {
 		name string
-		opts core.Options
+		opts microarch.Config
 	}{
-		{"ideal", core.Options{}},
-		{"noisy", core.Options{Noise: noisy}},
-		{"density", core.Options{UseDensityMatrix: true}},
-		{"noisy_density", core.Options{Noise: noisy, UseDensityMatrix: true}},
+		{"ideal", microarch.Config{}},
+		{"noisy", microarch.Config{Noise: noisy}},
+		{"density", microarch.Config{UseDensityMatrix: true}},
+		{"noisy_density", microarch.Config{Noise: noisy, UseDensityMatrix: true}},
 	}
 	shots, seeds := 40, []int64{1, 7, 12345}
 	if topoName != "" {
@@ -335,10 +372,10 @@ func TestPlanInterpreterParity(t *testing.T) {
 // fanRecords runs a plan through the pooled fan-out (the path behind
 // the public Backend) and returns the per-shot records; FanPlan calls
 // observe serially.
-func fanRecords(t *testing.T, pool *core.SystemPool, ex *plan.Executable, seed int64, shots, workers int) []shotRecord {
+func fanRecords(t *testing.T, pool *microarch.Pool, ex *plan.Executable, seed int64, shots, workers int) []shotRecord {
 	t.Helper()
 	got := make([]shotRecord, shots)
-	err := pool.FanPlan(context.Background(), ex, seed, shots, workers,
+	err := pool.FanPlan(context.Background(), ex, nil, seed, shots, workers,
 		func(shot int, m *microarch.Machine, runErr error) error {
 			if runErr != nil {
 				return runErr
@@ -360,17 +397,14 @@ func TestFanPlanParity(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			ref := goldenRuns(t, fixtureTopo(src))[0] // ideal, seed 1, traced
 			want := readExecGolden(t, name)[ref.header()]
-			sys, err := core.NewSystem(ref.opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			prog, err := sys.Asm.Assemble(src)
+			cfg := chipConfig(ref.opts)
+			prog, err := assembler(cfg).Assemble(src)
 			if err != nil {
 				t.Fatal(err)
 			}
 			// Plans are context-bound: lower under the pool's template
 			// (FanPlan rejects plans built under another context).
-			pool := core.NewSystemPool(ref.opts)
+			pool := microarch.NewPool(cfg)
 			ex, err := pool.Plan(prog)
 			if err != nil {
 				t.Fatal(err)

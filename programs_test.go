@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"eqasm/internal/asm"
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 )
 
@@ -36,13 +35,10 @@ func TestShippedProgramsRoundTrip(t *testing.T) {
 	for _, e := range entries {
 		t.Run(e.Name(), func(t *testing.T) {
 			src := loadProgramFile(t, e.Name())
-			opts := applyFixtureTopo(t, core.Options{}, fixtureTopo(src))
-			sys, err := core.NewSystem(opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			d := asm.NewDisassembler(sys.OpConfig, sys.Topo)
-			words, err := sys.Binary(src)
+			cfg := chipConfig(applyFixtureTopo(t, microarch.Config{}, fixtureTopo(src)))
+			a := assembler(cfg)
+			d := asm.NewDisassembler(cfg.OpConfig, cfg.Topo)
+			words, err := a.AssembleToBinary(src)
 			if err != nil {
 				if strings.Contains(err.Error(), "no 32-bit encoding") {
 					// Literal-angle rotations are an assembly-level
@@ -57,7 +53,7 @@ func TestShippedProgramsRoundTrip(t *testing.T) {
 			if err != nil {
 				t.Fatalf("disassemble: %v", err)
 			}
-			words2, err := sys.Binary(text)
+			words2, err := a.AssembleToBinary(text)
 			if err != nil {
 				t.Fatalf("reassemble: %v", err)
 			}
@@ -71,16 +67,14 @@ func TestShippedProgramsRoundTrip(t *testing.T) {
 }
 
 func TestBellProgram(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Seed: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Load(loadProgramFile(t, "bell.eqasm")); err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, microarch.Config{Seed: 4}, loadProgramFile(t, "bell.eqasm"))
 	agree, ones := 0, 0
 	const shots = 300
-	err = sys.RunShots(shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			t.Fatalf("shot %d: %v", shot, err)
+		}
 		bits := map[int]int{}
 		for _, r := range m.Measurements() {
 			bits[r.Qubit] = r.Result
@@ -89,9 +83,6 @@ func TestBellProgram(t *testing.T) {
 			agree++
 		}
 		ones += bits[0]
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	if agree != shots {
 		t.Fatalf("Bell correlations broken: %d/%d agree", agree, shots)
@@ -102,35 +93,27 @@ func TestBellProgram(t *testing.T) {
 }
 
 func TestActiveResetProgram(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Load(loadProgramFile(t, "active_reset.eqasm")); err != nil {
-		t.Fatal(err)
-	}
-	err = sys.RunShots(100, func(shot int, m *microarch.Machine) {
+	m := newMachine(t, microarch.Config{Seed: 9}, loadProgramFile(t, "active_reset.eqasm"))
+	for shot := 0; shot < 100; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			t.Fatalf("shot %d: %v", shot, err)
+		}
 		recs := m.Measurements()
 		if len(recs) != 2 || recs[1].Result != 0 {
 			t.Fatalf("shot %d: reset failed (%+v)", shot, recs)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 
 func TestCFCProgram(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{Seed: 2, RecordDeviceOps: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunAssembly(loadProgramFile(t, "cfc.eqasm")); err != nil {
+	m := newMachine(t, microarch.Config{Seed: 2, RecordDeviceOps: true}, loadProgramFile(t, "cfc.eqasm"))
+	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Qubit 2 was prepared |1>: the EQ path must fire, applying Y to
 	// qubit 0, so the final measurement of qubit 0 reads 1.
-	recs := sys.Machine.Measurements()
+	recs := m.Measurements()
 	if len(recs) != 2 {
 		t.Fatalf("measurements: %+v", recs)
 	}
@@ -140,20 +123,17 @@ func TestCFCProgram(t *testing.T) {
 }
 
 func TestLoopProgram(t *testing.T) {
-	sys, err := core.NewSystem(core.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.RunAssembly(loadProgramFile(t, "loop.eqasm")); err != nil {
+	m := newMachine(t, microarch.Config{}, loadProgramFile(t, "loop.eqasm"))
+	if err := m.Run(); err != nil {
 		t.Fatal(err)
 	}
 	// Two X gates return the qubit to |0>.
-	recs := sys.Machine.Measurements()
+	recs := m.Measurements()
 	if len(recs) != 1 || recs[0].Result != 0 {
 		t.Fatalf("double flip failed: %+v", recs)
 	}
 	// The loop count is published through the data memory.
-	v, err := sys.Machine.ReadWord(0)
+	v, err := m.ReadWord(0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Tests of the public eqasm facade: bit-identical parity with the
-// pre-facade core execution paths, the typed error model, context
+// sequential machine shot loop, the typed error model, context
 // cancellation threading through shots, and streaming.
 package eqasm_test
 
@@ -12,25 +12,21 @@ import (
 	"time"
 
 	"eqasm"
-	"eqasm/internal/core"
 	"eqasm/internal/microarch"
 )
 
-// coreShotKeys runs src on the pre-facade sequential path
-// (core.System.RunShots) and returns every shot's histogram key in shot
-// order.
-func coreShotKeys(t *testing.T, seed int64, src string, shots int) []string {
+// machineShotKeys runs src in the sequential shot loop on one machine
+// (Reset and Run per shot, the random stream continuing) and returns
+// every shot's histogram key in shot order.
+func machineShotKeys(t *testing.T, seed int64, src string, shots int) []string {
 	t.Helper()
-	opts := applyFixtureTopo(t, core.Options{Seed: seed}, fixtureTopo(src))
-	sys, err := core.NewSystem(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sys.Load(src); err != nil {
-		t.Fatal(err)
-	}
+	m := newMachine(t, applyFixtureTopo(t, microarch.Config{Seed: seed}, fixtureTopo(src)), src)
 	keys := make([]string, 0, shots)
-	err = sys.RunShots(shots, func(_ int, m *microarch.Machine) {
+	for shot := 0; shot < shots; shot++ {
+		m.Reset()
+		if err := m.Run(); err != nil {
+			t.Fatalf("shot %d: %v", shot, err)
+		}
 		last := map[int]int{}
 		for _, r := range m.Measurements() {
 			last[r.Qubit] = r.Result
@@ -45,15 +41,12 @@ func coreShotKeys(t *testing.T, seed int64, src string, shots int) []string {
 			key += fmt.Sprint(last[q])
 		}
 		keys = append(keys, key)
-	})
-	if err != nil {
-		t.Fatal(err)
 	}
 	return keys
 }
 
-// Backend.Run with a fixed seed is bit-identical to the pre-refactor
-// core.RunShots output for every shipped program.
+// Backend.Run with a fixed seed is bit-identical to the sequential
+// machine shot loop (machineShotKeys) for every shipped program.
 func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 	const (
 		seed  = 7
@@ -69,7 +62,7 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 			copts := fixtureSimOptions(src)
 			if copts != nil {
 				// Chip-directive fixtures (the chain16 fusion workload)
-				// need their own stack, and the core reference pushes
+				// need their own stack, and the machine reference pushes
 				// 2^16 amplitudes per gate — a few shots suffice for
 				// bit-equality.
 				shots = 6
@@ -79,7 +72,7 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			want := coreShotKeys(t, seed, src, shots)
+			want := machineShotKeys(t, seed, src, shots)
 
 			prog, err := eqasm.Assemble(src, copts...)
 			if err != nil {
@@ -104,7 +97,7 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 			}
 			for i := range want {
 				if got[i] != want[i] {
-					t.Fatalf("shot %d: backend %q, core %q", i, got[i], want[i])
+					t.Fatalf("shot %d: backend %q, machine %q", i, got[i], want[i])
 				}
 			}
 
@@ -121,7 +114,7 @@ func TestBackendRunMatchesCoreRunShots(t *testing.T) {
 				wantHist[k]++
 			}
 			if fmt.Sprint(res.Histogram) != fmt.Sprint(wantHist) {
-				t.Fatalf("histogram = %v, core = %v", res.Histogram, wantHist)
+				t.Fatalf("histogram = %v, machine = %v", res.Histogram, wantHist)
 			}
 		})
 	}
