@@ -436,6 +436,100 @@ func TestCoordinatorRunStream(t *testing.T) {
 	}
 }
 
+// drainStream reads a stream to its close, returning the shots it
+// delivered before its first error and every error message.
+func drainStream(ch <-chan eqasm.ShotResult) (shots int, errs []error) {
+	for sr := range ch {
+		if sr.Err != nil {
+			errs = append(errs, sr.Err)
+		} else if len(errs) == 0 {
+			shots++
+		}
+	}
+	return shots, errs
+}
+
+// A cancelled coordinator batch ends its stream the way a Simulator
+// stream does: with exactly one ShotResult carrying the cancellation,
+// whether Job.Cancel, the RunStream ctx or a ctx cancelled mid-replay
+// stopped it.
+func TestCoordinatorStreamCancellation(t *testing.T) {
+	// Each case gets its own worker: a cancellation that lands while
+	// the dispatch POST is in flight can leave the long run going on
+	// the worker until the case's cleanup closes it.
+	newCoord := func(t *testing.T) *coordinator.Coordinator {
+		return newCoordinator(t, startWorkers(t, 1, service.Config{Workers: 1}), coordinator.Config{})
+	}
+	bell := assemble(t, service.SmokePrograms()["bell"])
+	// Long enough that the worker is still running it when the
+	// cancellation lands.
+	long := eqasm.RunOptions{Shots: 10_000_000, Seed: 3}
+
+	checkCancelled := func(t *testing.T, errs []error) {
+		t.Helper()
+		if len(errs) != 1 || !errors.Is(errs[0], context.Canceled) {
+			t.Fatalf("stream errors = %v, want exactly one context.Canceled", errs)
+		}
+	}
+
+	t.Run("Job.Cancel", func(t *testing.T) {
+		coord := newCoord(t)
+		job, err := coord.Submit(context.Background(), eqasm.RunRequest{Program: bell, Options: long})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stream := job.Stream()
+		job.Cancel()
+		shots, errs := drainStream(stream)
+		checkCancelled(t, errs)
+		if shots != 0 {
+			t.Fatalf("a cancelled long run streamed %d shots", shots)
+		}
+		if st := job.Status(); st != eqasm.JobCancelled {
+			t.Fatalf("job status = %s, want cancelled", st)
+		}
+	})
+
+	t.Run("RunStream ctx", func(t *testing.T) {
+		coord := newCoord(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		ch, err := coord.RunStream(ctx, bell, long)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cancel()
+		shots, errs := drainStream(ch)
+		checkCancelled(t, errs)
+		if shots != 0 {
+			t.Fatalf("a cancelled long run streamed %d shots", shots)
+		}
+	})
+
+	t.Run("mid-replay", func(t *testing.T) {
+		// Enough shots that the replay is still handing them over one
+		// by one when the cancellation reaches the batch.
+		const shots = 20_000
+		coord := newCoord(t)
+		ctx, cancel := context.WithCancel(context.Background())
+		defer cancel()
+		ch, err := coord.RunStream(ctx, bell, eqasm.RunOptions{Shots: shots, Seed: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for n := 0; n < 3; n++ {
+			if sr := <-ch; sr.Err != nil {
+				t.Fatalf("shot %d: %v", n, sr.Err)
+			}
+		}
+		cancel()
+		n, errs := drainStream(ch)
+		checkCancelled(t, errs)
+		if n+3 >= shots {
+			t.Fatalf("the replay ran to the end (%d shots) despite the cancellation", n+3)
+		}
+	})
+}
+
 // flakyTransport fails the first n round trips with a dial error (or
 // a non-dial error when op is set), then delegates.
 type flakyTransport struct {

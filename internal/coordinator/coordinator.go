@@ -76,9 +76,6 @@ type Config struct {
 	// CacheSize bounds the coordinator's own resolved-program cache
 	// (wire submissions). Default 128.
 	CacheSize int
-	// RetainJobs bounds how many finished jobs stay queryable by ID.
-	// Default 1024.
-	RetainJobs int
 	// WorkerWait is how long a batch waits for an eligible worker to
 	// appear before failing. Default 5s.
 	WorkerWait time.Duration
@@ -102,30 +99,26 @@ type Coordinator struct {
 	log     wal.Log
 	workers []*worker
 
+	batches    service.Batches
 	seq        atomic.Int64
 	wg         sync.WaitGroup // drive goroutines
 	healthWG   sync.WaitGroup
 	stopHealth chan struct{}
+	closeOnce  sync.Once
 
+	// mu guards the unfinished batches, whose journal entries a
+	// checkpoint keeps, and the checkpoint cadence.
 	mu              sync.Mutex
-	closed          bool
-	jobs            map[string]*pending
-	retired         []string
-	liveJobs        int
+	live            map[string]*pending
 	sinceCheckpoint int
 
 	metrics struct {
-		jobsSubmitted     atomic.Int64
-		jobsCompleted     atomic.Int64
-		jobsFailed        atomic.Int64
-		jobsCancelled     atomic.Int64
-		requestsSubmitted atomic.Int64
-		dispatches        atomic.Int64
-		spills            atomic.Int64
-		requeues          atomic.Int64
-		recovered         atomic.Int64
-		walRecords        atomic.Int64
-		walErrors         atomic.Int64
+		dispatches atomic.Int64
+		spills     atomic.Int64
+		requeues   atomic.Int64
+		recovered  atomic.Int64
+		walRecords atomic.Int64
+		walErrors  atomic.Int64
 	}
 }
 
@@ -150,9 +143,6 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.CacheSize <= 0 {
 		cfg.CacheSize = 128
 	}
-	if cfg.RetainJobs <= 0 {
-		cfg.RetainJobs = 1024
-	}
 	if cfg.WorkerWait <= 0 {
 		cfg.WorkerWait = 5 * time.Second
 	}
@@ -172,7 +162,7 @@ func New(cfg Config) (*Coordinator, error) {
 		chip:       sim.Chip(),
 		cache:      service.NewProgramCache(cfg.CacheSize),
 		log:        cfg.WAL,
-		jobs:       make(map[string]*pending),
+		live:       make(map[string]*pending),
 		stopHealth: make(chan struct{}),
 	}
 	for _, u := range cfg.Workers {
@@ -217,7 +207,7 @@ func (c *Coordinator) Submit(ctx context.Context, reqs ...eqasm.RunRequest) (*eq
 	if err != nil {
 		return nil, err
 	}
-	return p.job, nil
+	return p.Job, nil
 }
 
 func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, prio service.Priority, streaming bool) (*pending, error) {
@@ -235,46 +225,49 @@ func (c *Coordinator) submit(ctx context.Context, reqs []eqasm.RunRequest, prio 
 			return nil, fmt.Errorf("coordinator: request %d: program chip %q does not match pool chip %q", i, chip, c.chip)
 		}
 	}
-	id := fmt.Sprintf("coord-%06d", c.seq.Add(1))
-	p, err := c.newPending(id, ctx, reqs, prio)
+	p, err := c.newPending(fmt.Sprintf("coord-%06d", c.seq.Add(1)), ctx, reqs, prio)
 	if err != nil {
 		return nil, err
 	}
 	data, err := json.Marshal(acceptedRecord{Chip: c.chip, Priority: prio.String(), Requests: p.wire})
 	if err != nil {
-		p.release()
+		p.Release()
 		return nil, fmt.Errorf("coordinator: journal batch: %w", err)
 	}
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		p.release()
-		return nil, service.ErrClosed
-	}
-	// The accepted record must be durable before the caller holds a
-	// handle: a batch the caller saw admitted survives a crash.
-	if err := c.walAppend(p, wal.Entry{Kind: wal.KindAccepted, Batch: id, Index: -1, Data: data}); err != nil {
-		c.mu.Unlock()
-		p.release()
-		return nil, fmt.Errorf("coordinator: journal batch: %w", err)
-	}
-	c.jobs[id] = p
-	c.liveJobs++
-	c.mu.Unlock()
-	c.metrics.jobsSubmitted.Add(1)
-	c.metrics.requestsSubmitted.Add(int64(len(reqs)))
 	if streaming {
 		// Attach before the driver starts so histogram replays are
 		// never skipped by a stream raced on after completion.
-		p.job.Stream()
+		p.Job.Stream()
 	}
 	outstanding := make([]int, len(reqs))
 	for i := range outstanding {
 		outstanding[i] = i
 	}
+	err = c.batches.Admit(p.Batch, len(reqs), func() error {
+		// The accepted record must be durable before the caller holds
+		// a handle: a batch the caller saw admitted survives a crash.
+		if err := c.walAppend(p, wal.Entry{Kind: wal.KindAccepted, Batch: p.Job.ID(), Index: -1, Data: data}); err != nil {
+			return fmt.Errorf("coordinator: journal batch: %w", err)
+		}
+		c.start(p, outstanding)
+		return nil
+	})
+	if err != nil {
+		p.Release()
+		return nil, err
+	}
+	return p, nil
+}
+
+// start tracks an admitted batch as unfinished and drives its
+// outstanding requests. It runs under the batch table's lock (inside
+// Batches.Admit), so Close waits for every driver it does not refuse.
+func (c *Coordinator) start(p *pending, outstanding []int) {
+	c.mu.Lock()
+	c.live[p.Job.ID()] = p
+	c.mu.Unlock()
 	c.wg.Add(1)
 	go c.drive(p, outstanding)
-	return p, nil
 }
 
 // Run implements eqasm.Backend: one request through Submit, awaited.
@@ -292,58 +285,21 @@ func (c *Coordinator) Run(ctx context.Context, p *eqasm.Program, opts eqasm.RunO
 	return res, err
 }
 
-// RunStream implements eqasm.Backend. Like the Client's stream, shots
-// arrive as a per-request histogram replay once the request completes
-// on its worker; a failure delivers one final ShotResult with Err set.
+// RunStream implements eqasm.Backend as sugar over Submit with the
+// stream attached before the batch dispatches. Like the Client's
+// stream, shots arrive as a per-request histogram replay once the
+// request completes on its worker; a failure or a cancellation
+// delivers one final ShotResult with Err set.
 func (c *Coordinator) RunStream(ctx context.Context, p *eqasm.Program, opts eqasm.RunOptions) (<-chan eqasm.ShotResult, error) {
-	if opts.Shots < 0 {
-		return nil, fmt.Errorf("coordinator: negative shot count %d", opts.Shots)
+	pend, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, service.PriorityNormal, true)
+	if err != nil {
+		return nil, err
 	}
-	if p == nil {
-		return nil, fmt.Errorf("eqasm: request 0 has no program")
-	}
-	ch := make(chan eqasm.ShotResult)
-	go func() {
-		defer close(ch)
-		pend, err := c.submit(ctx, []eqasm.RunRequest{{Program: p, Options: opts}}, service.PriorityNormal, true)
-		if err != nil {
-			sendWithGrace(ch, eqasm.ShotResult{Shot: -1, Err: err})
-			return
-		}
-		job := pend.job
-		for sr := range job.Stream() {
-			select {
-			case ch <- sr:
-			case <-ctx.Done():
-				job.Cancel()
-				sendWithGrace(ch, eqasm.ShotResult{Shot: -1, Err: context.Cause(ctx)})
-				return
-			}
-		}
-	}()
-	return ch, nil
+	return pend.Job.Stream(), nil
 }
 
-// sendWithGrace delivers a terminal stream message, waiting briefly
-// for a consumer that is not at the channel yet.
-func sendWithGrace(ch chan<- eqasm.ShotResult, sr eqasm.ShotResult) {
-	select {
-	case ch <- sr:
-	case <-time.After(time.Second):
-	}
-}
-
-// Job returns a submitted job by ID, including recently finished ones
-// (bounded by Config.RetainJobs).
-func (c *Coordinator) Job(id string) (*eqasm.Job, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return p.job, true
-}
+// Job returns a submitted job by ID, including recently finished ones.
+func (c *Coordinator) Job(id string) (*eqasm.Job, bool) { return c.batches.Job(id) }
 
 // SubmitWire admits a decoded /v1/batches payload (the httpapi.Backend
 // contract): the batch passes the workers' own admission checks, each
@@ -362,7 +318,12 @@ func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wi
 	}
 	reqs := make([]eqasm.RunRequest, len(spec.Requests))
 	for i, r := range spec.Requests {
-		prog, err := c.resolve(r)
+		if r.Chip != "" && r.Chip != c.chip {
+			return nil, fmt.Errorf("coordinator: request %d: program chip %q does not match pool chip %q", i, r.Chip, c.chip)
+		}
+		// The cache key is the hash the workers key their own caches
+		// on, so a cached resolve here predicts a warm worker.
+		prog, _, err := c.cache.Resolve(c.compile, r, nil)
 		if err != nil {
 			return nil, fmt.Errorf("coordinator: request %d: %w", i, err)
 		}
@@ -374,46 +335,14 @@ func (c *Coordinator) SubmitWire(ctx context.Context, req wire.BatchRequest) (wi
 	if err != nil {
 		return nil, err
 	}
-	return p, nil
+	return p.Batch, nil
 }
 
 // Batch is Job behind the httpapi.Backend contract.
-func (c *Coordinator) Batch(id string) (wire.Batch, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p, ok := c.jobs[id]
-	if !ok {
-		return nil, false
-	}
-	return p, true
-}
-
-// resolve turns a request's text into a bound program through the
-// coordinator's cache. The cache key is the hash the workers key their
-// own caches on, so a cached resolve here predicts a warm worker
-// downstream.
-func (c *Coordinator) resolve(r service.RequestSpec) (*eqasm.Program, error) {
-	if r.Chip != "" && r.Chip != c.chip {
-		return nil, fmt.Errorf("program chip %q does not match pool chip %q", r.Chip, c.chip)
-	}
-	key := r.CacheKey()
-	if prog, ok := c.cache.Get(key); ok {
-		return prog, nil
-	}
-	prog, err := c.compile.Compile(r.Source, r.Format)
-	if err != nil {
-		return nil, err
-	}
-	c.cache.Put(key, prog)
-	return prog, nil
-}
+func (c *Coordinator) Batch(id string) (wire.Batch, bool) { return c.batches.Batch(id) }
 
 // Draining reports whether the coordinator has stopped accepting work.
-func (c *Coordinator) Draining() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.closed
-}
+func (c *Coordinator) Draining() bool { return c.batches.Closed() }
 
 // Close stops the coordinator crash-equivalently: in-flight batches
 // are cancelled on their workers and abandoned without a completion
@@ -421,24 +350,18 @@ func (c *Coordinator) Draining() bool {
 // re-runs them (their handles from this life never finalize). The
 // worker pool itself keeps serving.
 func (c *Coordinator) Close() error {
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil
-	}
-	c.closed = true
-	ps := make([]*pending, 0, len(c.jobs))
-	for _, p := range c.jobs {
-		ps = append(ps, p)
-	}
-	c.mu.Unlock()
-	close(c.stopHealth)
-	for _, p := range ps {
-		p.cancel(errClosing)
-	}
-	c.wg.Wait()
-	c.healthWG.Wait()
-	return c.log.Close()
+	var err error
+	c.closeOnce.Do(func() {
+		live := c.batches.Close()
+		close(c.stopHealth)
+		for _, b := range live {
+			b.Stop(errClosing)
+		}
+		c.wg.Wait()
+		c.healthWG.Wait()
+		err = c.log.Close()
+	})
+	return err
 }
 
 // Checkpoint rewrites the WAL down to the records of batches that have
@@ -448,10 +371,7 @@ func (c *Coordinator) Close() error {
 func (c *Coordinator) Checkpoint() error {
 	c.mu.Lock()
 	var keep []wal.Entry
-	for _, p := range c.jobs {
-		if p.done.Load() {
-			continue
-		}
+	for _, p := range c.live {
 		p.walMu.Lock()
 		keep = append(keep, p.walEntries...)
 		p.walMu.Unlock()
@@ -470,12 +390,9 @@ type Stats struct {
 	// WorkerPool carries per-worker health and load.
 	WorkerPool []WorkerStats `json:"worker_pool"`
 
-	JobsSubmitted     int64 `json:"jobs_submitted"`
-	JobsActive        int64 `json:"jobs_active"`
-	JobsCompleted     int64 `json:"jobs_completed"`
-	JobsFailed        int64 `json:"jobs_failed"`
-	JobsCancelled     int64 `json:"jobs_cancelled"`
-	RequestsSubmitted int64 `json:"requests_submitted"`
+	// BatchCounts are the batch table's jobs_* and requests_submitted
+	// counters, as the workers report theirs.
+	service.BatchCounts
 
 	// Dispatches counts sub-batches sent to workers; Spills routing
 	// decisions that yielded affinity to load; Requeues requests
@@ -514,18 +431,14 @@ type WorkerStats struct {
 // Stats snapshots the coordinator counters.
 func (c *Coordinator) Stats() Stats {
 	st := Stats{
-		Workers:           len(c.workers),
-		JobsSubmitted:     c.metrics.jobsSubmitted.Load(),
-		JobsCompleted:     c.metrics.jobsCompleted.Load(),
-		JobsFailed:        c.metrics.jobsFailed.Load(),
-		JobsCancelled:     c.metrics.jobsCancelled.Load(),
-		RequestsSubmitted: c.metrics.requestsSubmitted.Load(),
-		Dispatches:        c.metrics.dispatches.Load(),
-		Spills:            c.metrics.spills.Load(),
-		Requeues:          c.metrics.requeues.Load(),
-		RecoveredBatches:  c.metrics.recovered.Load(),
-		WALRecords:        c.metrics.walRecords.Load(),
-		WALErrors:         c.metrics.walErrors.Load(),
+		Workers:          len(c.workers),
+		BatchCounts:      c.batches.Counts(),
+		Dispatches:       c.metrics.dispatches.Load(),
+		Spills:           c.metrics.spills.Load(),
+		Requeues:         c.metrics.requeues.Load(),
+		RecoveredBatches: c.metrics.recovered.Load(),
+		WALRecords:       c.metrics.walRecords.Load(),
+		WALErrors:        c.metrics.walErrors.Load(),
 	}
 	for _, w := range c.workers {
 		w.statsMu.Lock()
@@ -542,9 +455,6 @@ func (c *Coordinator) Stats() Stats {
 		}
 		st.WorkerPool = append(st.WorkerPool, wst)
 	}
-	c.mu.Lock()
-	st.JobsActive = int64(c.liveJobs)
-	c.mu.Unlock()
 	st.CacheHits, st.CacheMisses, st.CacheEntries = c.cache.Stats()
 	return st
 }

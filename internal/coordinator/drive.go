@@ -13,7 +13,6 @@ import (
 	"strconv"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -41,49 +40,24 @@ type resultRecord struct {
 	Result    *eqasm.Result `json:"result,omitempty"`
 }
 
-// pending is one live batch: the controlled job the caller holds, the
-// routing state the driver works through, and the journal entries a
-// checkpoint must preserve while the batch is unfinished. priority is
-// the batch's wire priority, reported back but not used for dispatch
-// order.
+// pending is one live batch: its service.Batch (the controlled job the
+// caller holds, its wire priority — reported back but not used for
+// dispatch order — and its run context), the routing state the driver
+// works through, and the journal entries a checkpoint must preserve
+// while the batch is unfinished.
 type pending struct {
-	id       string
-	job      *eqasm.Job
-	ctl      *eqasm.JobController
-	priority service.Priority
-	reqs     []eqasm.RunRequest
-	wire     []wire.Request // per request as the wire carries it (journaled)
-	keys     []string       // content-hash routing key per request
+	*service.Batch
+	ctl  *eqasm.JobController
+	reqs []eqasm.RunRequest
+	wire []wire.Request // per request as the wire carries it (journaled)
+	keys []string       // content-hash routing key per request
 
 	attempts []int
 	terminal []bool // per-request: outcome recorded (driver-owned)
 
-	ctx       context.Context
-	cancel    context.CancelCauseFunc
-	stopWatch func() bool
-
 	walMu      sync.Mutex
 	walEntries []wal.Entry
-	done       atomic.Bool
 }
-
-// release tears down a pending that never started driving.
-func (p *pending) release() {
-	if p.stopWatch != nil {
-		p.stopWatch()
-	}
-	p.cancel(context.Canceled)
-}
-
-// Describe renders the batch as its /v1/batches wire status with the
-// workers' own renderer, so clients cannot tell the tiers apart.
-func (p *pending) Describe() wire.BatchStatus { return service.Describe(p.job, p.priority, nil) }
-
-// Done is closed when the batch's job finalizes.
-func (p *pending) Done() <-chan struct{} { return p.job.Done() }
-
-// Cancel cancels the batch's job.
-func (p *pending) Cancel() { p.job.Cancel() }
 
 // runRequest rebuilds the execution request a wire request describes
 // around its resolved program.
@@ -100,28 +74,23 @@ func runRequest(prog *eqasm.Program, r wire.Request) eqasm.RunRequest {
 // The batch's lifetime is bound to submitCtx exactly as Backend
 // documents: expiry cancels it; Job.Cancel does too.
 func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eqasm.RunRequest, prio service.Priority) (*pending, error) {
+	b, ctl, err := service.NewBatch(submitCtx, id, reqs, prio)
+	if err != nil {
+		return nil, err
+	}
 	p := &pending{
-		id:       id,
-		priority: prio,
+		Batch:    b,
+		ctl:      ctl,
 		reqs:     reqs,
 		wire:     make([]wire.Request, len(reqs)),
 		keys:     make([]string, len(reqs)),
 		attempts: make([]int, len(reqs)),
 		terminal: make([]bool, len(reqs)),
 	}
-	// The driver's own context outlives the submit call; the submit
-	// ctx is watched, not inherited, so cancellation causes propagate.
-	p.ctx, p.cancel = context.WithCancelCause(context.Background())
-	job, ctl, err := eqasm.NewControlledJob(id, reqs, func() { p.cancel(context.Canceled) })
-	if err != nil {
-		p.cancel(context.Canceled)
-		return nil, err
-	}
-	p.job, p.ctl = job, ctl
 	for i, r := range reqs {
 		src, err := r.Program.WireSource()
 		if err != nil {
-			p.cancel(context.Canceled)
+			b.Release()
 			return nil, fmt.Errorf("coordinator: request %d: %w", i, err)
 		}
 		// RunRequest.Params takes precedence over Options.Params.
@@ -133,41 +102,25 @@ func (c *Coordinator) newPending(id string, submitCtx context.Context, reqs []eq
 			Tag: r.Tag, Backend: r.Options.Backend, Fusion: r.Options.Fusion, Params: params}
 		p.keys[i] = routeKey(src)
 	}
-	if submitCtx != nil && submitCtx.Done() != nil {
-		p.stopWatch = context.AfterFunc(submitCtx, func() {
-			p.cancel(context.Cause(submitCtx))
-		})
-	}
 	return p, nil
 }
 
-// walAppend journals an entry and remembers it for checkpoints; a
-// failed append is an error (used on the admission path, where
-// durability is part of the contract).
+// walAppend journals an entry and remembers it for checkpoints. Only
+// the admission path acts on a failed append, where durability is part
+// of the contract; mid-drive records are best effort: completed work is
+// never failed over a journal hiccup — the cost of a lost record is
+// deterministic re-execution on recovery (and the next checkpoint
+// rewrites it from memory).
 func (c *Coordinator) walAppend(p *pending, e wal.Entry) error {
+	p.walMu.Lock()
+	p.walEntries = append(p.walEntries, e)
+	p.walMu.Unlock()
 	if err := c.log.Append(e); err != nil {
 		c.metrics.walErrors.Add(1)
 		return err
 	}
-	p.walMu.Lock()
-	p.walEntries = append(p.walEntries, e)
-	p.walMu.Unlock()
 	c.metrics.walRecords.Add(1)
 	return nil
-}
-
-// walRecord journals a best-effort entry mid-drive: completed work is
-// never failed over a journal hiccup — the cost of a lost record is
-// deterministic re-execution on recovery.
-func (c *Coordinator) walRecord(p *pending, e wal.Entry) {
-	p.walMu.Lock()
-	p.walEntries = append(p.walEntries, e)
-	p.walMu.Unlock()
-	if err := c.log.Append(e); err != nil {
-		c.metrics.walErrors.Add(1)
-		return
-	}
-	c.metrics.walRecords.Add(1)
 }
 
 func (c *Coordinator) walResult(p *pending, i int, rec resultRecord) {
@@ -176,7 +129,7 @@ func (c *Coordinator) walResult(p *pending, i int, rec resultRecord) {
 		c.metrics.walErrors.Add(1)
 		return
 	}
-	c.walRecord(p, wal.Entry{Kind: wal.KindResult, Batch: p.id, Index: i, Data: data})
+	_ = c.walAppend(p, wal.Entry{Kind: wal.KindResult, Batch: p.Job.ID(), Index: i, Data: data})
 }
 
 // transient classifies a worker error as placement-related — the
@@ -204,8 +157,9 @@ func transient(err error) bool {
 // every request is terminal or the batch is cancelled.
 func (c *Coordinator) drive(p *pending, outstanding []int) {
 	defer c.wg.Done()
+	ctx := p.Context()
 	var starved time.Time
-	for len(outstanding) > 0 && p.ctx.Err() == nil {
+	for len(outstanding) > 0 && ctx.Err() == nil {
 		groups := c.route(p, outstanding)
 		if groups == nil {
 			// No eligible worker. Wait for probes to find one, up to
@@ -223,7 +177,7 @@ func (c *Coordinator) drive(p *pending, outstanding []int) {
 				break
 			}
 			select {
-			case <-p.ctx.Done():
+			case <-ctx.Done():
 			case <-time.After(c.starveDelay()):
 			}
 			continue
@@ -250,7 +204,7 @@ func (c *Coordinator) drive(p *pending, outstanding []int) {
 		}
 		outstanding = redo
 	}
-	c.settle(p, outstanding)
+	c.settle(p)
 }
 
 func (c *Coordinator) starveDelay() time.Duration {
@@ -265,6 +219,7 @@ func (c *Coordinator) starveDelay() time.Duration {
 // placement failures come back for re-queueing (bounded by
 // MaxAttempts); deterministic failures are terminal.
 func (c *Coordinator) dispatch(p *pending, w *worker, idxs []int) (redo []int) {
+	ctx := p.Context()
 	sub := make([]eqasm.RunRequest, len(idxs))
 	for k, i := range idxs {
 		sub[k] = p.reqs[i]
@@ -273,9 +228,9 @@ func (c *Coordinator) dispatch(p *pending, w *worker, idxs []int) (redo []int) {
 	w.inflight.Add(int64(len(idxs)))
 	defer w.inflight.Add(-int64(len(idxs)))
 	c.metrics.dispatches.Add(1)
-	job, err := w.client.Submit(p.ctx, sub...)
+	job, err := w.client.Submit(ctx, sub...)
 	if err != nil {
-		if p.ctx.Err() != nil {
+		if ctx.Err() != nil {
 			return nil // settle() records the cancellation
 		}
 		if transient(err) {
@@ -299,11 +254,16 @@ func (c *Coordinator) dispatch(p *pending, w *worker, idxs []int) (redo []int) {
 		st := sts[k]
 		switch {
 		case st.State == eqasm.JobCompleted && st.Result != nil:
+			if p.ctl.Replay(ctx, i, st.Result) != nil {
+				// A cancellation cut the stream short: the caller has
+				// not seen this outcome, so settle() records the
+				// request as cancelled, as a Simulator stream would.
+				continue
+			}
 			c.walResult(p, i, resultRecord{Result: st.Result})
-			_ = p.ctl.Replay(p.ctx, i, st.Result)
 			p.ctl.Finish(i, st.Result, nil)
 			p.terminal[i] = true
-		case p.ctx.Err() != nil:
+		case ctx.Err() != nil:
 			// Our own cancellation echoed back; settle() records it.
 		case st.State == eqasm.JobCancelled || transient(st.Err):
 			// The worker went away mid-run (shutdown cancels its jobs;
@@ -350,59 +310,44 @@ func (c *Coordinator) fail(p *pending, i int, err error) {
 	p.terminal[i] = true
 }
 
-// settle closes out a drive: cancelled batches record their stragglers,
-// the done entry retires the batch from recovery, and the job
-// finalizes — unless the coordinator itself is closing, in which case
-// the batch is abandoned mid-journal exactly as a crash would leave
-// it, for recovery to finish in the next life.
-func (c *Coordinator) settle(p *pending, outstanding []int) {
-	if cause := context.Cause(p.ctx); errors.Is(cause, errClosing) {
+// settle closes out a drive: a cancelled batch delivers its cause as
+// the stream's terminal message and records its stragglers, the done
+// entry retires the batch from recovery, the batch table counts its
+// outcome and the job finalizes — unless the coordinator itself is
+// closing, in which case the batch is abandoned mid-journal exactly as
+// a crash would leave it, for recovery to finish in the next life.
+func (c *Coordinator) settle(p *pending) {
+	ctx := p.Context()
+	if cause := context.Cause(ctx); errors.Is(cause, errClosing) {
 		return
 	}
-	if p.ctx.Err() != nil {
-		cause := context.Cause(p.ctx)
+	if ctx.Err() != nil {
+		cause := context.Cause(ctx)
+		emitted := false
 		for i := range p.reqs {
-			if !p.terminal[i] {
-				c.walResult(p, i, resultRecord{Cancelled: true})
-				p.terminal[i] = true
+			if p.terminal[i] {
+				continue
+			}
+			c.walResult(p, i, resultRecord{Cancelled: true})
+			if !emitted {
+				p.ctl.EmitError(i, cause, true)
+				emitted = true
 			}
 		}
 		p.ctl.StopRemaining(cause)
 	}
-	c.walRecord(p, wal.Entry{Kind: wal.KindDone, Batch: p.id, Index: -1})
-	p.done.Store(true)
-	p.ctl.Finalize()
-	switch p.job.Status() {
-	case eqasm.JobCompleted:
-		c.metrics.jobsCompleted.Add(1)
-	case eqasm.JobCancelled:
-		c.metrics.jobsCancelled.Add(1)
-	default:
-		c.metrics.jobsFailed.Add(1)
-	}
-	c.retire(p)
-}
-
-// retire moves a finished batch into the bounded lookup history and
-// periodically folds the journal down to live batches.
-func (c *Coordinator) retire(p *pending) {
-	if p.stopWatch != nil {
-		p.stopWatch()
-	}
-	p.cancel(context.Canceled)
+	_ = c.walAppend(p, wal.Entry{Kind: wal.KindDone, Batch: p.Job.ID(), Index: -1})
+	// Fold the journal down to live batches now and then.
 	c.mu.Lock()
-	c.liveJobs--
-	c.retired = append(c.retired, p.id)
-	for len(c.retired) > c.cfg.RetainJobs {
-		delete(c.jobs, c.retired[0])
-		c.retired = c.retired[1:]
-	}
+	delete(c.live, p.Job.ID())
 	c.sinceCheckpoint++
 	checkpoint := c.sinceCheckpoint >= 256
 	if checkpoint {
 		c.sinceCheckpoint = 0
 	}
 	c.mu.Unlock()
+	c.batches.Finish(p.Batch)
+	p.ctl.Finalize()
 	if checkpoint {
 		_ = c.Checkpoint()
 	}
@@ -508,14 +453,13 @@ func (c *Coordinator) recover(rb *recBatch) error {
 		}
 		p.terminal[i] = true
 	}
-	c.mu.Lock()
-	c.jobs[rb.id] = p
-	c.liveJobs++
-	c.mu.Unlock()
+	if err := c.batches.Admit(p.Batch, len(reqs), func() error {
+		c.start(p, outstanding)
+		return nil
+	}); err != nil {
+		p.Release()
+		return fmt.Errorf("coordinator: wal batch %s: %w", rb.id, err)
+	}
 	c.metrics.recovered.Add(1)
-	c.metrics.jobsSubmitted.Add(1)
-	c.metrics.requestsSubmitted.Add(int64(len(reqs)))
-	c.wg.Add(1)
-	go c.drive(p, outstanding)
 	return nil
 }

@@ -32,9 +32,10 @@ import (
 )
 
 // Backend is the serving tier the handler set fronts. Both
-// *service.Service and *coordinator.Coordinator implement it, each
-// driving the public eqasm.Job and rendering it with
-// service.Describe.
+// *service.Service and *coordinator.Coordinator implement it: each
+// keeps its batches in a service.Batches table and hands out the same
+// *service.Batch, which drives the public eqasm.Job and renders it
+// (Batch.Describe).
 type Backend interface {
 	// SubmitWire validates, resolves and admits a decoded batch; ctx
 	// bounds the batch's lifetime.

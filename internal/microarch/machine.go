@@ -210,9 +210,9 @@ func New(cfg Config) (*Machine, error) {
 // plan under the machine's instruction-set context and installs it,
 // resetting execution state (the quantum state and data memory are
 // preserved, as when the host CPU uploads new quantum code). Programs
-// with symbolic parameters fail here; bind them and use LoadBoundPlan.
-// Hot shot loops should lower the program once with plan.Build and
-// share the plan through LoadPlan.
+// with symbolic parameters fail here: a parametric plan runs bound,
+// through Pool.FanPlan. Hot shot loops should lower the program once
+// with plan.Build and share the plan through LoadPlan.
 func (m *Machine) LoadProgram(p *isa.Program) error {
 	ex, err := plan.Build(p, m.cfg.Topo, m.cfg.OpConfig)
 	if err != nil {
@@ -233,16 +233,6 @@ func (m *Machine) LoadPlan(ex *plan.Executable) error {
 	return m.loadPlan(ex, nil)
 }
 
-// LoadBoundPlan installs a parametric plan together with the binding
-// that patches its parameter slots. The same immutable Executable backs
-// every binding of a sweep; only the per-slot kernels differ.
-func (m *Machine) LoadBoundPlan(b *plan.Binding) error {
-	if b == nil {
-		return fmt.Errorf("microarch: nil plan binding")
-	}
-	return m.loadPlan(b.Plan(), b)
-}
-
 func (m *Machine) loadPlan(ex *plan.Executable, b *plan.Binding) error {
 	if ex == nil {
 		return fmt.Errorf("microarch: nil execution plan")
@@ -255,7 +245,7 @@ func (m *Machine) loadPlan(ex *plan.Executable, b *plan.Binding) error {
 			ex.Topology().Name, m.cfg.Topo.Name)
 	}
 	if ex.Parametric() && b == nil {
-		return fmt.Errorf("microarch: plan has unbound parameters (%v); bind them and use LoadBoundPlan",
+		return fmt.Errorf("microarch: plan has unbound parameters (%v); bind them (plan.Executable.Bind) and run through Pool.FanPlan",
 			ex.ParamNames())
 	}
 	m.hostWrite()

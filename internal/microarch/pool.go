@@ -98,10 +98,17 @@ func (p *Pool) Put(m *Machine) {
 //
 // ctx is checked between shots; cancellation stops the fan-out and
 // returns context.Cause(ctx) without observing the remaining shots.
+//
+// A pool whose template sets Config.Backend shares that one backend
+// with every machine it builds, so it runs on one worker: asking for
+// more is an error rather than a data race on the shared chip.
 func (p *Pool) FanPlan(ctx context.Context, ex *plan.Executable, b *plan.Binding, baseSeed int64,
 	shots, workers int, observe func(shot int, m *Machine, runErr error) error) error {
 	if shots <= 0 {
 		return nil
+	}
+	if workers > 1 && p.cfg.Backend != nil {
+		return fmt.Errorf("microarch: %d fan-out workers would share the pool's one Config.Backend; use 1", workers)
 	}
 	if workers < 1 {
 		workers = 1

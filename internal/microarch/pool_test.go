@@ -178,6 +178,36 @@ func TestNoiseWiring(t *testing.T) {
 	}
 }
 
+// A pool over a caller-supplied Config.Backend shares that backend
+// with all its machines: a multi-worker fan-out is refused before any
+// goroutine touches it (run under -race, a shared-backend fan-out would
+// report a data race), and one worker runs every shot on it.
+func TestFanPlanSharedBackendOneWorker(t *testing.T) {
+	be := quantum.NewSVBackend(3, quantum.Ideal(), 1)
+	pool := NewPool(Config{Topo: topology.TwoQubit(), OpConfig: isa.DefaultConfig(), Backend: be})
+	ex := lower(t, pool, "SMIS S0, {0}\nX S0\nMEASZ S0\nSTOP")
+	ones := 0
+	observe := func(_ int, m *Machine, runErr error) error {
+		if runErr == nil {
+			ones += m.Measurements()[0].Result
+		}
+		return runErr
+	}
+	err := pool.FanPlan(context.Background(), ex, nil, 1, 200, 2, observe)
+	if err == nil || !strings.Contains(err.Error(), "Config.Backend") {
+		t.Fatalf("2-worker fan-out over a shared backend: err = %v, want a Config.Backend error", err)
+	}
+	if ones != 0 {
+		t.Fatalf("the refused fan-out observed %d shots", ones)
+	}
+	if err := pool.FanPlan(context.Background(), ex, nil, 1, 200, 1, observe); err != nil {
+		t.Fatal(err)
+	}
+	if ones != 200 {
+		t.Fatalf("%d of 200 shots read X|0> as 1", ones)
+	}
+}
+
 // panicBackend is a chip whose Apply1 panics while armed. It offers
 // neither specialized kernels nor Reseed, so every pooled machine takes
 // the generic gate path and is rebuilt on checkout.

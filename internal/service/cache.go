@@ -70,3 +70,29 @@ func (c *ProgramCache) Stats() (hits, misses int64, entries int) {
 	defer c.mu.Unlock()
 	return c.hits, c.misses, c.lru.Len()
 }
+
+// Resolve returns the program spec's text denotes under cfg through the
+// cache: the resident program on a hit, else a fresh cfg.Compile that
+// is cached once prepare (when non-nil) accepts it. prepare also runs
+// on a hit; the service plans the program there, the coordinator,
+// which runs nothing itself, passes nil. The key is
+// RequestSpec.CacheKey, so both tiers resolve alike-hashing text to one
+// program.
+func (c *ProgramCache) Resolve(cfg Config, spec RequestSpec, prepare func(*eqasm.Program) error) (prog *eqasm.Program, hit bool, err error) {
+	key := spec.CacheKey()
+	prog, hit = c.Get(key)
+	if !hit {
+		if prog, err = cfg.Compile(spec.Source, spec.Format); err != nil {
+			return nil, false, err
+		}
+	}
+	if prepare != nil {
+		if err := prepare(prog); err != nil {
+			return nil, false, err
+		}
+	}
+	if !hit {
+		c.Put(key, prog)
+	}
+	return prog, hit, nil
+}

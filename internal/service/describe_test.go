@@ -13,8 +13,8 @@ import (
 	"eqasm/internal/wire"
 )
 
-// Describe is the one wire renderer of both serving tiers. Drive a
-// controlled job through every lifecycle path and check each field of
+// Batch.Describe is the one wire renderer of both serving tiers. Drive
+// a controlled job through every lifecycle path and check each field of
 // the batch and request statuses it renders.
 func TestDescribe(t *testing.T) {
 	prog, err := eqasm.Assemble("STOP")
@@ -153,7 +153,7 @@ func TestDescribe(t *testing.T) {
 			}
 			tc.drive(ctl)
 			tc.want.ID = "job-000042"
-			if got := service.Describe(job, tc.prio, tc.hits); !reflect.DeepEqual(got, tc.want) {
+			if got := (&service.Batch{Job: job, Priority: tc.prio, CacheHits: tc.hits}).Describe(); !reflect.DeepEqual(got, tc.want) {
 				t.Fatalf("Describe =\n%+v\nwant\n%+v", got, tc.want)
 			}
 		})
@@ -183,7 +183,7 @@ func TestDescribeJSON(t *testing.T) {
 	}, nil)
 	ctl.Finish(1, &eqasm.Result{Histogram: map[string]int{}}, errors.New("boom"))
 	ctl.Finalize()
-	got, err := json.Marshal(service.Describe(job, service.PriorityHigh, []bool{true, false}))
+	got, err := json.Marshal((&service.Batch{Job: job, Priority: service.PriorityHigh, CacheHits: []bool{true, false}}).Describe())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -246,26 +246,18 @@ func (spec RequestSpec) CacheKey() string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// jobRun is the service's side of one admitted job: the public
-// eqasm.Job handle and the controller the workers drive it through,
-// the resolved requests with their accumulators, and the queue order.
-// It is also the job's wire.Batch handle for the HTTP front end.
+// jobRun is the service's side of one admitted job: its Batch and the
+// controller the workers drive it through, the resolved requests with
+// their accumulators, and the queue order. Every request's run context
+// derives from the Batch's, so a job-level cancellation (Job.Cancel or
+// the submit ctx) skips queued batches and stops running ones at the
+// next shot boundary.
 type jobRun struct {
-	job       *eqasm.Job
-	ctl       *eqasm.JobController
-	priority  Priority
-	seq       int64
-	svc       *Service
-	reqs      []*requestRun
-	cacheHits []bool // per request: the program came from the cache
-
-	// runCtx is cancelled with the job-level cause (Job.Cancel or the
-	// submit ctx) and, once the job is finished, to release it. Every
-	// request's run context derives from it, so queued batches are
-	// skipped and running ones stop at the next shot boundary.
-	runCtx    context.Context
-	cancelRun context.CancelCauseFunc
-	stopWatch func() bool
+	*Batch
+	ctl  *eqasm.JobController
+	seq  int64
+	svc  *Service
+	reqs []*requestRun
 
 	mu        sync.Mutex
 	remaining int // outstanding shot batches across all requests
@@ -301,13 +293,19 @@ type batch struct {
 	shots int
 }
 
+// maxJobBatches caps one request's batch count: bigger requests get
+// proportionally bigger batches instead of flooding the queue, so a
+// single huge job still fits in the queue while keeping more than
+// enough fan-out to saturate the pool.
+const maxJobBatches = 64
+
 // split partitions every request's shots into worker batches. Each
 // request is split independently — batch size scales with the
 // request's own shot count exactly as a single-request job's would —
 // so per-request seed derivation (and therefore results) are
 // bit-identical whether the request is submitted alone or in a batch.
 func (j *jobRun) split(cfg Config) []*batch {
-	maxBatches := min(cfg.MaxJobBatches, cfg.QueueDepth)
+	maxBatches := min(maxJobBatches, cfg.QueueDepth)
 	var out []*batch
 	for r, req := range j.reqs {
 		batchShots := max(cfg.BatchShots,
@@ -322,15 +320,6 @@ func (j *jobRun) split(cfg Config) []*batch {
 	}
 	return out
 }
-
-// Describe renders the job with its per-request cache hits (wire.Batch).
-func (j *jobRun) Describe() wire.BatchStatus { return Describe(j.job, j.priority, j.cacheHits) }
-
-// Done is closed when the job finalizes (wire.Batch).
-func (j *jobRun) Done() <-chan struct{} { return j.job.Done() }
-
-// Cancel cancels the job (wire.Batch).
-func (j *jobRun) Cancel() { j.job.Cancel() }
 
 // startBatch marks the batch's request running on its first batch.
 func (j *jobRun) startBatch(b *batch) {
@@ -359,7 +348,7 @@ func (j *jobRun) finishBatch(b *batch, res *eqasm.Result, err error) {
 		if !r.started.IsZero() {
 			r.res.Duration = time.Since(r.started)
 		}
-		if cause := context.Cause(j.runCtx); r.err == nil && cause != nil && r.res.Shots < r.spec.Shots {
+		if cause := context.Cause(j.Context()); r.err == nil && cause != nil && r.res.Shots < r.spec.Shots {
 			// The job was cancelled before this request ran out its
 			// shots.
 			r.err = cause
@@ -395,64 +384,11 @@ func (r *requestRun) merge(index int, res *eqasm.Result) {
 	m.TotalStats.Add(res.TotalStats)
 }
 
-// finalize counts the job's outcome, releases its contexts and
-// finalizes the handle. The counters move before Finalize closes Done,
-// so a caller woken by Done reads stats that include its own job; the
-// outcome is the state Finalize is about to compute (failed over
-// cancelled over completed).
+// finalize counts the job's outcome and releases its contexts before
+// Finalize closes Done, so a caller woken by Done reads stats that
+// include its own job.
 func (j *jobRun) finalize() {
-	outcome := eqasm.JobCompleted
-	for _, rs := range j.job.Requests() {
-		if rs.State == eqasm.JobFailed || (rs.State == eqasm.JobCancelled && outcome == eqasm.JobCompleted) {
-			outcome = rs.State
-		}
-	}
-	switch outcome {
-	case eqasm.JobCompleted:
-		j.svc.metrics.jobsCompleted.Add(1)
-	case eqasm.JobCancelled:
-		j.svc.metrics.jobsCancelled.Add(1)
-	default:
-		j.svc.metrics.jobsFailed.Add(1)
-	}
-	if j.stopWatch != nil {
-		j.stopWatch()
-	}
-	j.cancelRun(nil) // releases every request's context too
+	j.svc.batches.Finish(j.Batch)
 	j.ctl.Finalize()
-	j.svc.retire(j)
-}
-
-// Describe renders a job as its /v1/batches wire status, for both
-// serving tiers: the service passes each request's cache hit, the
-// coordinator, which caches no results, passes nil. A queued or
-// running request reports its state only; a finished one its outcome
-// (partial when it failed or was cancelled mid-run). The batch error
-// is the job's first failure or its cancellation cause, once terminal.
-func Describe(job *eqasm.Job, prio Priority, cacheHits []bool) wire.BatchStatus {
-	// Status first: once it reads terminal, every request already is.
-	st := wire.BatchStatus{ID: job.ID(), Status: job.Status(), Priority: prio.String()}
-	for i, rs := range job.Requests() {
-		ws := wire.RequestStatus{Index: rs.Index, Tag: rs.Tag, Status: rs.State}
-		if i < len(cacheHits) {
-			ws.CacheHit = cacheHits[i]
-		}
-		if res := rs.Result; res != nil && rs.State.Terminal() {
-			ws.Shots = res.Shots
-			ws.Histogram = res.Histogram
-			ws.Qubits = res.Qubits
-			ws.Stats = res.Stats
-			ws.TotalStats = res.TotalStats
-			ws.Backend = res.Backend
-			ws.RunTime = res.Duration
-		}
-		if rs.Err != nil {
-			ws.Error = rs.Err.Error()
-		}
-		st.Requests = append(st.Requests, ws)
-	}
-	if err := job.Err(); err != nil && st.Status.Terminal() {
-		st.Error = err.Error()
-	}
-	return st
+	j.svc.jobsWG.Done()
 }

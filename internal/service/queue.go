@@ -76,8 +76,8 @@ func (h batchHeap) Len() int { return len(h) }
 
 func (h batchHeap) Less(i, j int) bool {
 	a, b := h[i], h[j]
-	if a.job.priority != b.job.priority {
-		return a.job.priority > b.job.priority
+	if a.job.Priority != b.job.Priority {
+		return a.job.Priority > b.job.Priority
 	}
 	if a.job.seq != b.job.seq {
 		return a.job.seq < b.job.seq

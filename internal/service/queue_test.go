@@ -3,7 +3,7 @@ package service
 import "testing"
 
 func testJob(seq int64, prio Priority) *jobRun {
-	return &jobRun{seq: seq, priority: prio}
+	return &jobRun{Batch: &Batch{Priority: prio}, seq: seq}
 }
 
 func TestQueueOrdering(t *testing.T) {

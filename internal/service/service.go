@@ -12,8 +12,13 @@
 // batch hands to the job's eqasm.JobController; the job's last batch
 // finalizes it. Each request splits and derives its seeds
 // independently of its batch position, so results are bit-identical
-// whether a program is submitted alone or inside a batch. Describe
-// renders a job as its /v1/batches wire status for both serving tiers.
+// whether a program is submitted alone or inside a batch.
+//
+// Both serving tiers keep their batches the same way: a Batch holds the
+// public job, its priority and cache hits and renders its /v1/batches
+// wire status (Batch.Describe), and a Batches table admits, indexes,
+// retires and counts them. The coordinator tier resolves wire text
+// through the same ProgramCache.Resolve and Config.Compile.
 //
 // Concurrency model (the shared-mutable-state audit of the stack):
 //
@@ -78,16 +83,9 @@ type Config struct {
 	CacheSize int
 	// BatchShots is the number of shots dispatched to a worker as one
 	// unit; a job with more shots is split over several batches (and
-	// therefore several workers). Default 32.
+	// therefore several workers), at most maxJobBatches of them.
+	// Default 32.
 	BatchShots int
-	// MaxJobBatches caps one job's batch count: bigger jobs get
-	// proportionally bigger batches instead of flooding the queue, so a
-	// single huge job still fits in QueueDepth while keeping more than
-	// enough fan-out to saturate the pool. Default 64.
-	MaxJobBatches int
-	// RetainJobs bounds how many finished jobs stay queryable by ID.
-	// Default 1024.
-	RetainJobs int
 	// InitWaitCycles idles the chip before a compiled circuit's first
 	// operation (initialisation by relaxation). Default 10000 (200 us),
 	// as in Fig. 3. eQASM source jobs control their own QWAITs.
@@ -113,12 +111,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.BatchShots <= 0 {
 		c.BatchShots = 32
-	}
-	if c.MaxJobBatches <= 0 {
-		c.MaxJobBatches = 64
-	}
-	if c.RetainJobs <= 0 {
-		c.RetainJobs = 1024
 	}
 	if c.InitWaitCycles <= 0 {
 		c.InitWaitCycles = 10000
@@ -146,11 +138,7 @@ type Service struct {
 	// steering new work here before submits start bouncing.
 	draining atomic.Bool
 
-	mu      sync.Mutex
-	closed  bool
-	jobs    map[string]*jobRun
-	retired []string // finished job IDs in retirement order
-
+	batches Batches
 	jobSeq  atomic.Int64
 	metrics metrics
 
@@ -161,23 +149,19 @@ type Service struct {
 	gateProfile map[string]int64
 }
 
-// metrics are the service's atomic counters and gauges.
+// metrics are the service's atomic counters and gauges beyond the
+// batch table's.
 type metrics struct {
-	jobsSubmitted     atomic.Int64
-	jobsCompleted     atomic.Int64
-	jobsFailed        atomic.Int64
-	jobsCancelled     atomic.Int64
-	jobsRejected      atomic.Int64
-	requestsSubmitted atomic.Int64
-	batchJobs         atomic.Int64
-	shotsExecuted     atomic.Int64
-	stabilizerShots   atomic.Int64
-	batchesRun        atomic.Int64
-	inflightShots     atomic.Int64
-	workersBusy       atomic.Int64
-	runNs             atomic.Int64
-	planHits          atomic.Int64
-	planMisses        atomic.Int64
+	jobsRejected    atomic.Int64
+	batchJobs       atomic.Int64
+	shotsExecuted   atomic.Int64
+	stabilizerShots atomic.Int64
+	batchesRun      atomic.Int64
+	inflightShots   atomic.Int64
+	workersBusy     atomic.Int64
+	runNs           atomic.Int64
+	planHits        atomic.Int64
+	planMisses      atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of the service counters — the
@@ -201,7 +185,6 @@ func New(cfg Config) (*Service, error) {
 		sim:   sim,
 		cache: NewProgramCache(cfg.CacheSize),
 		queue: newBatchQueue(cfg.QueueDepth),
-		jobs:  map[string]*jobRun{},
 	}
 	for i := 0; i < cfg.Workers; i++ {
 		s.workersWG.Add(1)
@@ -233,7 +216,7 @@ func (s *Service) SubmitBatch(ctx context.Context, spec BatchSpec) (*eqasm.Job, 
 	if err != nil {
 		return nil, err
 	}
-	return j.job, nil
+	return j.Job, nil
 }
 
 // admit is SubmitBatch returning the service's side of the job.
@@ -250,19 +233,16 @@ func (s *Service) admit(ctx context.Context, spec BatchSpec) (*jobRun, error) {
 		}
 	}
 	spec = spec.withDefaults()
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	if s.batches.Closed() {
 		s.metrics.jobsRejected.Add(1)
 		return nil, s.closedErr()
 	}
-	s.mu.Unlock()
 
 	reqs := make([]*requestRun, len(spec.Requests))
 	cacheHits := make([]bool, len(spec.Requests))
 	runReqs := make([]eqasm.RunRequest, len(spec.Requests))
 	for i, rs := range spec.Requests {
-		prog, cacheHit, err := s.resolve(rs)
+		prog, cacheHit, err := s.cache.Resolve(s.cfg, rs, s.preparePlan)
 		if err != nil {
 			s.metrics.jobsRejected.Add(1)
 			if len(spec.Requests) > 1 {
@@ -276,17 +256,15 @@ func (s *Service) admit(ctx context.Context, spec BatchSpec) (*jobRun, error) {
 	}
 
 	seq := s.jobSeq.Add(1)
-	j := &jobRun{priority: spec.Priority, seq: seq, svc: s, reqs: reqs, cacheHits: cacheHits}
-	j.runCtx, j.cancelRun = context.WithCancelCause(context.Background())
-	for _, r := range j.reqs {
-		r.runCtx, r.cancelRun = context.WithCancelCause(j.runCtx)
-	}
-	var err error
-	j.job, j.ctl, err = eqasm.NewControlledJob(fmt.Sprintf("job-%06d", seq), runReqs,
-		func() { j.cancelRun(context.Canceled) })
+	b, ctl, err := NewBatch(ctx, fmt.Sprintf("job-%06d", seq), runReqs, spec.Priority)
 	if err != nil {
-		s.rejectJob(j)
+		s.metrics.jobsRejected.Add(1)
 		return nil, err
+	}
+	b.CacheHits = cacheHits
+	j := &jobRun{Batch: b, ctl: ctl, seq: seq, svc: s, reqs: reqs}
+	for _, r := range j.reqs {
+		r.runCtx, r.cancelRun = context.WithCancelCause(b.Context())
 	}
 	batches := j.split(s.cfg)
 	// Each request's split is position-independent (that is what makes
@@ -300,31 +278,22 @@ func (s *Service) admit(ctx context.Context, spec BatchSpec) (*jobRun, error) {
 			ErrQueueFull, len(reqs), len(batches), s.cfg.QueueDepth)
 	}
 	j.remaining = len(batches)
-	// Wire ctx cancellation before any batch can run, so finalize never
-	// races the watcher's installation.
-	if ctx != nil && ctx.Done() != nil {
-		j.stopWatch = context.AfterFunc(ctx, func() { j.cancelRun(context.Cause(ctx)) })
-	}
-
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
+	// The push happens under the table's lock, so Shutdown's drain
+	// cannot miss a job between the closed check and the push.
+	err = s.batches.Admit(b, len(reqs), func() error {
+		if !s.queue.tryPush(batches) {
+			return ErrQueueFull
+		}
+		s.jobsWG.Add(1)
+		return nil
+	})
+	if err != nil {
+		if errors.Is(err, ErrClosed) {
+			err = s.closedErr()
+		}
 		s.rejectJob(j)
-		return nil, s.closedErr()
+		return nil, err
 	}
-	// Registration and enqueue happen under one lock so Shutdown's
-	// drain cannot miss a job between the closed check and the push.
-	if !s.queue.tryPush(batches) {
-		s.mu.Unlock()
-		s.rejectJob(j)
-		return nil, ErrQueueFull
-	}
-	s.jobs[j.job.ID()] = j
-	s.jobsWG.Add(1)
-	s.mu.Unlock()
-
-	s.metrics.jobsSubmitted.Add(1)
-	s.metrics.requestsSubmitted.Add(int64(len(reqs)))
 	if len(reqs) > 1 {
 		s.metrics.batchJobs.Add(1)
 	}
@@ -346,22 +315,8 @@ func (s *Service) Run(ctx context.Context, spec JobSpec) (*eqasm.Result, error) 
 	return results[0], err
 }
 
-// Job returns a submitted job by ID (including recently finished ones,
-// bounded by Config.RetainJobs).
-func (s *Service) Job(id string) (*eqasm.Job, bool) {
-	if j, ok := s.lookup(id); ok {
-		return j.job, true
-	}
-	return nil, false
-}
-
-// lookup finds a job by ID, including recently finished ones.
-func (s *Service) lookup(id string) (*jobRun, bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	j, ok := s.jobs[id]
-	return j, ok
-}
+// Job returns a submitted job by ID, including recently finished ones.
+func (s *Service) Job(id string) (*eqasm.Job, bool) { return s.batches.Job(id) }
 
 // SubmitWire admits a decoded /v1/batches payload (the httpapi.Backend
 // contract): SubmitBatch behind the wire-to-spec conversion.
@@ -374,47 +329,19 @@ func (s *Service) SubmitWire(ctx context.Context, req wire.BatchRequest) (wire.B
 	if err != nil {
 		return nil, err
 	}
-	return j, nil
+	return j.Batch, nil
 }
 
 // Batch is Job behind the httpapi.Backend contract.
-func (s *Service) Batch(id string) (wire.Batch, bool) {
-	if j, ok := s.lookup(id); ok {
-		return j, true
-	}
-	return nil, false
-}
+func (s *Service) Batch(id string) (wire.Batch, bool) { return s.batches.Batch(id) }
 
 // StatsPayload is Stats as the /v1/stats body (httpapi.Backend).
 func (s *Service) StatsPayload() any { return s.Stats() }
 
-// resolve turns a request spec into an assembled program via the
-// content cache. The program's decode-once execution plan is built here
-// too — at submit time, never on the shot hot path — and cached
-// alongside the source on the program object itself, so a
-// cache-resident program plans exactly once for all jobs and batches
-// that hash to it.
-func (s *Service) resolve(spec RequestSpec) (prog *eqasm.Program, hit bool, err error) {
-	key := spec.CacheKey()
-	if p, ok := s.cache.Get(key); ok {
-		if err := s.preparePlan(p); err != nil {
-			return nil, false, err
-		}
-		return p, true, nil
-	}
-	prog, err = s.cfg.Compile(spec.Source, spec.Format)
-	if err != nil {
-		return nil, false, err
-	}
-	if err := s.preparePlan(prog); err != nil {
-		return nil, false, err
-	}
-	s.cache.Put(key, prog)
-	return prog, false, nil
-}
-
-// preparePlan forces the program's execution plan and accounts the
-// reuse counters.
+// preparePlan forces a resolved program's execution plan — at submit
+// time, never on the shot hot path — and accounts the reuse counters.
+// The plan lives on the program object itself, so a cache-resident
+// program plans exactly once for all jobs and batches that hash to it.
 func (s *Service) preparePlan(p *eqasm.Program) error {
 	cached, err := p.Prepare()
 	if err != nil {
@@ -452,14 +379,7 @@ func (cfg Config) Compile(source, format string) (*eqasm.Program, error) {
 
 // Stats snapshots the counters.
 func (s *Service) Stats() Stats {
-	s.mu.Lock()
-	active := int64(0)
-	for _, j := range s.jobs {
-		if !j.job.Status().Terminal() {
-			active++
-		}
-	}
-	s.mu.Unlock()
+	n := s.batches.Counts()
 	hits, misses, entries := s.cache.Stats()
 	var profile map[string]int64
 	s.profMu.Lock()
@@ -477,13 +397,13 @@ func (s *Service) Stats() Stats {
 		QueueCapacity:     s.cfg.QueueDepth,
 		InflightShots:     s.metrics.inflightShots.Load(),
 		Draining:          s.draining.Load(),
-		JobsSubmitted:     s.metrics.jobsSubmitted.Load(),
-		JobsActive:        active,
-		JobsCompleted:     s.metrics.jobsCompleted.Load(),
-		JobsFailed:        s.metrics.jobsFailed.Load(),
-		JobsCancelled:     s.metrics.jobsCancelled.Load(),
+		JobsSubmitted:     n.JobsSubmitted,
+		JobsActive:        n.JobsActive,
+		JobsCompleted:     n.JobsCompleted,
+		JobsFailed:        n.JobsFailed,
+		JobsCancelled:     n.JobsCancelled,
 		JobsRejected:      s.metrics.jobsRejected.Load(),
-		RequestsSubmitted: s.metrics.requestsSubmitted.Load(),
+		RequestsSubmitted: n.RequestsSubmitted,
 		BatchJobs:         s.metrics.batchJobs.Load(),
 		ShotsExecuted:     s.metrics.shotsExecuted.Load(),
 		StabilizerShots:   s.metrics.stabilizerShots.Load(),
@@ -516,9 +436,7 @@ func (s *Service) closedErr() error {
 // restart. Follow with DrainWait, then Shutdown or Close.
 func (s *Service) Drain() {
 	s.draining.Store(true)
-	s.mu.Lock()
-	s.closed = true
-	s.mu.Unlock()
+	s.batches.Close()
 }
 
 // DrainWait blocks until every admitted job finished or ctx expires
@@ -557,15 +475,8 @@ func (s *Service) Shutdown(ctx context.Context) error {
 // Close cancels every active job and stops the workers.
 func (s *Service) Close() error {
 	s.draining.Store(true)
-	s.mu.Lock()
-	s.closed = true
-	jobs := make([]*jobRun, 0, len(s.jobs))
-	for _, j := range s.jobs {
-		jobs = append(jobs, j)
-	}
-	s.mu.Unlock()
-	for _, j := range jobs {
-		j.Cancel()
+	for _, b := range s.batches.Close() {
+		b.Cancel()
 	}
 	s.jobsWG.Wait()
 	s.queue.close()
@@ -575,22 +486,6 @@ func (s *Service) Close() error {
 
 // rejectJob accounts for a job that never entered the queue.
 func (s *Service) rejectJob(j *jobRun) {
-	if j.stopWatch != nil {
-		j.stopWatch()
-	}
-	j.cancelRun(nil)
+	j.Release()
 	s.metrics.jobsRejected.Add(1)
-}
-
-// retire records a finished job and evicts the oldest finished jobs
-// beyond the retention bound.
-func (s *Service) retire(j *jobRun) {
-	s.mu.Lock()
-	s.retired = append(s.retired, j.job.ID())
-	for len(s.retired) > s.cfg.RetainJobs {
-		delete(s.jobs, s.retired[0])
-		s.retired = s.retired[1:]
-	}
-	s.mu.Unlock()
-	s.jobsWG.Done()
 }

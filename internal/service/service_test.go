@@ -450,18 +450,14 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
-// Finished jobs stay queryable up to the retention bound.
+// Finished jobs stay queryable up to the retention bound: the newest
+// 1024 finished batches.
 func TestJobRetention(t *testing.T) {
-	svc := newService(t, service.Config{
-		Workers:    1,
-		RetainJobs: 2,
-		Machine:    []eqasm.Option{eqasm.WithSeed(12)},
-	})
+	const retain = 1024
+	svc := newService(t, service.Config{Workers: 1})
 	var ids []string
-	for i := 0; i < 3; i++ {
-		job, err := svc.Submit(context.Background(), service.JobSpec{
-			Source: service.SmokePrograms()["flip"],
-		})
+	for i := 0; i < retain+1; i++ {
+		job, err := svc.Submit(context.Background(), service.JobSpec{Source: "STOP"})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -469,12 +465,18 @@ func TestJobRetention(t *testing.T) {
 		ids = append(ids, job.ID())
 	}
 	if _, ok := svc.Job(ids[0]); ok {
-		t.Fatalf("job %s not evicted at retention 2", ids[0])
+		t.Fatalf("job %s not evicted at retention %d", ids[0], retain)
 	}
-	for _, id := range ids[1:] {
+	if _, ok := svc.Batch(ids[0]); ok {
+		t.Fatalf("batch %s not evicted at retention %d", ids[0], retain)
+	}
+	for _, id := range []string{ids[1], ids[retain/2], ids[retain]} {
 		if _, ok := svc.Job(id); !ok {
 			t.Fatalf("job %s evicted too early", id)
 		}
+	}
+	if st := svc.Stats(); st.JobsSubmitted != retain+1 || st.JobsCompleted != retain+1 || st.JobsActive != 0 {
+		t.Fatalf("stats after %d one-shot jobs: %+v", retain+1, st)
 	}
 }
 
