@@ -138,10 +138,11 @@ type Result struct {
 
 // Backend executes bound programs: the in-process Simulator and the
 // job-service Client both implement it, so callers switch between local
-// simulation and remote serving without rewiring. Submit is the
-// primitive — Run and RunStream are sugar over a one-request batch —
-// so single runs, sweeps and multi-circuit workloads all flow through
-// one job code path per backend.
+// simulation and remote serving without rewiring. Submit and RunStream
+// hand back a job (RunStream its stream); Run is a blocking call that
+// returns one Result. The Simulator's Run executes on the caller's
+// goroutine with no job at all; remote backends await a one-request
+// job.
 type Backend interface {
 	// Submit enqueues a batch of requests for asynchronous execution
 	// and returns immediately with the job handle. Requests execute in
@@ -191,7 +192,7 @@ type poolKey struct {
 var _ Backend = (*Simulator)(nil)
 
 // NewSimulator builds a simulator Backend from the execution options
-// (WithSeed, WithNoise, WithDensityMatrix, WithDeviceTrace, WithShots,
+// (WithSeed, WithNoise, WithBackend, WithDeviceTrace, WithShots,
 // WithWorkers, ...).
 func NewSimulator(opts ...Option) (*Simulator, error) {
 	cfg, err := newConfig(opts)
@@ -239,11 +240,11 @@ func (s *Simulator) pool(st stack, kind string, noFusion bool) *microarch.Pool {
 
 // resolveBackend turns a requested backend name ("" for the
 // simulator's configured choice) into the concrete simulator kind for
-// one program, applying the auto-selection rule: density matrix when
-// configured, state vector under noise, the stabilizer tableau for
-// noiseless Clifford-only plans, state vector otherwise. A parametric
-// plan classifies per bound point: the request's binding (when
-// non-nil) decides whether every bound rotation is Clifford.
+// one program, applying the auto-selection rule: state vector under
+// noise, the stabilizer tableau for noiseless Clifford-only plans,
+// state vector otherwise. A parametric plan classifies per bound
+// point: the request's binding (when non-nil) decides whether every
+// bound rotation is Clifford.
 func (s *Simulator) resolveBackend(p *Program, b *plan.Binding, requested string) (string, error) {
 	name := requested
 	if name == "" {
@@ -251,9 +252,6 @@ func (s *Simulator) resolveBackend(p *Program, b *plan.Binding, requested string
 	}
 	switch name {
 	case "", BackendAuto:
-		if s.cfg.density {
-			return BackendDensityMatrix, nil
-		}
 		if s.cfg.noise != (NoiseModel{}) {
 			return BackendStateVector, nil
 		}
@@ -277,7 +275,11 @@ func (s *Simulator) resolveBackend(p *Program, b *plan.Binding, requested string
 	}
 }
 
-func (s *Simulator) plan(opts RunOptions) (pl runPlan, err error) {
+// plan resolves one request's execution parameters against the
+// simulator's defaults, rejecting invalid options.
+func (s *Simulator) plan(r RunRequest) (pl runPlan, err error) {
+	opts := r.Options
+	pl.params = r.params()
 	pl.shots = opts.Shots
 	if pl.shots < 0 {
 		return runPlan{}, fmt.Errorf("eqasm: negative shot count %d", pl.shots)
@@ -444,14 +446,13 @@ func (s *Simulator) submitJob(ctx context.Context, streaming bool, reqs []RunReq
 	}
 	plans := make([]runPlan, len(reqs))
 	for i, r := range reqs {
-		pl, err := s.plan(r.Options)
+		pl, err := s.plan(r)
 		if err != nil {
 			if len(reqs) > 1 {
 				err = fmt.Errorf("request %d: %w", i, err)
 			}
 			return nil, err
 		}
-		pl.params = r.params()
 		plans[i] = pl
 	}
 	job := newJob(localJobID(), reqs)
@@ -478,7 +479,15 @@ func (s *Simulator) runJob(ctx context.Context, cancel context.CancelCauseFunc,
 			break
 		}
 		j.markRunning(i)
-		res, err := s.executeRequest(ctx, j, i, reqs[i].Program, plans[i])
+		emit := func(shot int, m *microarch.Machine, key []byte) error {
+			if !j.streaming.Load() {
+				return nil
+			}
+			sr := shotOutcome(shot, m, key)
+			sr.Request = i
+			return j.emit(ctx, sr)
+		}
+		res, err := s.executeRequest(ctx, reqs[i].Program, plans[i], emit)
 		j.finishRequest(i, res, err)
 		if err != nil {
 			if isCancellation(err) {
@@ -497,10 +506,11 @@ func (s *Simulator) runJob(ctx context.Context, cancel context.CancelCauseFunc,
 }
 
 // executeRequest runs one request's shots through the machine pool,
-// aggregating the histogram and stats and feeding an attached stream
-// consumer.
-func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
-	p *Program, pl runPlan) (*Result, error) {
+// aggregating the histogram and stats. A non-nil emit is handed every
+// completed shot (its machine and histogram key) for a stream
+// consumer; its error stops the run.
+func (s *Simulator) executeRequest(ctx context.Context, p *Program, pl runPlan,
+	emit func(shot int, m *microarch.Machine, key []byte) error) (*Result, error) {
 	res := &Result{Histogram: map[string]int{}}
 	// Bind the parameter point once per request: the shared plan is
 	// patched with a handful of per-slot gate matrices, never rebuilt.
@@ -521,10 +531,6 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 		return res, err
 	}
 	res.Backend = kind
-	if planErr == nil {
-		res.GateProfile = ex.GateProfile()
-	}
-	profiled := false
 	var hist histogram
 	start := time.Now()
 	err = s.fanShots(ctx, p, binding, kind, pl.noFusion, pl.seed, pl.shots, pl.workers,
@@ -532,15 +538,11 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 			if runErr != nil {
 				return wrapShotErr(shot, m, runErr)
 			}
-			if !profiled {
-				// The static plan profile above is a fallback for runs
-				// that fault before any shot completes; a completed
-				// shot's machine reports the kernels it actually
-				// executed (fused kinds under fusion).
-				profiled = true
-				if gp := m.ExecutedGateProfile(); gp != nil {
-					res.GateProfile = gp
-				}
+			if res.Shots == 0 {
+				// The first completed shot's machine reports the
+				// kernels it actually executed (fused kinds under
+				// fusion).
+				res.GateProfile = m.ExecutedGateProfile()
 			}
 			st := execStats(m)
 			res.Shots++
@@ -554,24 +556,41 @@ func (s *Simulator) executeRequest(ctx context.Context, j *Job, req int,
 			if res.Trace == nil {
 				res.Trace = renderTrace(m)
 			}
-			if j.streaming.Load() {
-				sr := shotOutcome(shot, m, key)
-				sr.Request = req
-				return j.emit(ctx, sr)
+			if emit != nil {
+				return emit(shot, m, key)
 			}
 			return nil
 		})
 	res.Duration = time.Since(start)
 	hist.fill(res.Histogram)
+	if res.GateProfile == nil && planErr == nil {
+		// No shot completed: the static plan profile stands in.
+		res.GateProfile = ex.GateProfile()
+	}
 	return res, err
 }
 
-// Run implements Backend as sugar over Submit: a one-request batch,
-// awaited. With Workers == 1 (the default) and a fixed seed, the
-// execution is bit-identical to a sequential shot loop on a freshly
-// built machine at that seed.
+// Run implements Backend as a plain call on the caller's goroutine: no
+// job, no driver. It validates the request as Submit does; when ctx is
+// already done it returns a zero-shot Result beside the cancellation
+// cause, and otherwise it executes the shots, returning the partial
+// Result beside the error on a failure or cancellation. With Workers ==
+// 1 (the default) and a fixed seed, the execution is bit-identical to
+// a sequential shot loop on a freshly built machine at that seed.
 func (s *Simulator) Run(ctx context.Context, p *Program, opts RunOptions) (*Result, error) {
-	return runViaSubmit(ctx, s, p, opts)
+	req := RunRequest{Program: p, Options: opts}
+	ctx, err := normalizeBatch(ctx, []RunRequest{req})
+	if err != nil {
+		return nil, err
+	}
+	pl, err := s.plan(req)
+	if err != nil {
+		return nil, err
+	}
+	if ctx.Err() != nil {
+		return &Result{Histogram: map[string]int{}}, context.Cause(ctx)
+	}
+	return s.executeRequest(ctx, p, pl, nil)
 }
 
 // RunStream implements Backend as sugar over Submit: a one-request

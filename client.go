@@ -401,16 +401,19 @@ func (c *Client) applyPoll(ctx context.Context, job *Job, br wire.BatchStatus, s
 	return true
 }
 
-// Run implements Backend as sugar over Submit: a one-request batch,
-// awaited — submitted synchronously (the wire's wait flag), so a run
-// is a single HTTP round-trip with no poll latency. RunOptions.Workers
-// is ignored (the service owns its own fan-out).
+// Run implements Backend by awaiting a one-request job submitted
+// synchronously (the wire's wait flag), so a run is a single HTTP
+// round-trip with no poll latency. The job is bound to ctx, so waiting
+// for it to finish keeps the partial Result beside a cancellation
+// error. RunOptions.Workers is ignored (the service owns its own
+// fan-out).
 func (c *Client) Run(ctx context.Context, p *Program, opts RunOptions) (*Result, error) {
 	job, err := c.submitJob(ctx, false, true, []RunRequest{{Program: p, Options: opts}})
 	if err != nil {
 		return nil, err
 	}
-	return awaitFirst(job)
+	results, err := job.Wait(context.Background())
+	return results[0], err
 }
 
 // RunStream implements Backend as sugar over Submit with the stream

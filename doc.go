@@ -53,8 +53,8 @@
 //
 // # Backends
 //
-// A Backend executes bound programs; Submit is the primitive and Run /
-// RunStream are sugar over a one-request batch:
+// A Backend executes bound programs. Submit and RunStream hand back a
+// job (RunStream its stream); Run blocks and returns one Result:
 //
 //	Submit(ctx, RunRequest{...}, ...)   → *Job (Wait/Results/Status/Cancel/Stream)
 //	Run(ctx, p, RunOptions{Shots: 1e3}) → *Result (histogram, stats, totals)
@@ -62,7 +62,8 @@
 //
 // NewSimulator is the in-process implementation: pooled, reseedable
 // cycle-level QuMA_v2 machines, shots fanned over workers, ctx checked
-// between shots. With Workers == 1 and a fixed seed a run is
+// between shots. Its Run is a plain call on the caller's goroutine
+// with no job behind it. With Workers == 1 and a fixed seed a run is
 // bit-identical to the classic sequential shot loop. NewClient is the
 // remote implementation, speaking the eqasm-serve HTTP API; both
 // satisfy the same interface, so code switches between local
@@ -79,8 +80,8 @@
 //
 //   - the state vector (default) simulates arbitrary gates up to the
 //     26-qubit memory wall;
-//   - the density matrix (WithDensityMatrix) adds exact open-system
-//     noise at half the qubit reach;
+//   - the density matrix adds exact open-system noise on registers of
+//     up to 6 qubits;
 //   - the stabilizer tableau runs Clifford circuits (H, Paulis, ±90°
 //     rotations, S, CZ, CNOT, Z measurements) at thousands of qubits
 //     via Gottesman–Knill — the chain<N> topology family (WithTopology
@@ -88,7 +89,7 @@
 //
 // Under "auto" a noiseless program whose execution plan is
 // Clifford-only routes to the tableau; anything else falls back to
-// the state vector (or density matrix when configured). Both
+// the state vector. Both
 // measurement-sampling paths draw one uniform variate per
 // measurement, so a seeded run produces bit-identical outcomes on
 // either backend. Result.Backend names the simulator that ran, and
@@ -97,7 +98,7 @@
 // *RuntimeError at the offending gate.
 //
 // Execution options (WithSeed, WithNoise, WithCalibratedNoise,
-// WithDensityMatrix, WithDeviceTrace, WithShots, WithWorkers)
+// WithBackend, WithDeviceTrace, WithShots, WithWorkers)
 // configure backends; per-request RunOptions override shots, seed and
 // fan-out.
 //

@@ -270,19 +270,16 @@ func (c *Coordinator) start(p *pending, outstanding []int) {
 	go c.drive(p, outstanding)
 }
 
-// Run implements eqasm.Backend: one request through Submit, awaited.
+// Run implements eqasm.Backend: one request through Submit, awaited
+// to the end (the job is bound to ctx, so a cancellation finishes it
+// and the partial Result stays beside the error).
 func (c *Coordinator) Run(ctx context.Context, p *eqasm.Program, opts eqasm.RunOptions) (*eqasm.Result, error) {
 	job, err := c.Submit(ctx, eqasm.RunRequest{Program: p, Options: opts})
 	if err != nil {
 		return nil, err
 	}
-	<-job.Done()
-	results, err := job.Results()
-	var res *eqasm.Result
-	if len(results) > 0 {
-		res = results[0]
-	}
-	return res, err
+	results, err := job.Wait(context.Background())
+	return results[0], err
 }
 
 // RunStream implements eqasm.Backend as sugar over Submit with the

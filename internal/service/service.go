@@ -301,17 +301,15 @@ func (s *Service) admit(ctx context.Context, spec BatchSpec) (*jobRun, error) {
 }
 
 // Run is the synchronous convenience wrapper: Submit, then wait for
-// the single request's result (partial alongside the error when the
-// job failed or was cancelled).
+// the job to finish and return the single request's result (partial
+// alongside the error when the job failed or was cancelled, ctx expiry
+// included: the job is bound to ctx, so it finishes promptly).
 func (s *Service) Run(ctx context.Context, spec JobSpec) (*eqasm.Result, error) {
 	job, err := s.Submit(ctx, spec)
 	if err != nil {
 		return nil, err
 	}
-	results, err := job.Wait(ctx)
-	if len(results) == 0 {
-		return nil, err
-	}
+	results, err := job.Wait(context.Background())
 	return results[0], err
 }
 

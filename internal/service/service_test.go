@@ -217,6 +217,32 @@ func TestCancellationMidJob(t *testing.T) {
 	}
 }
 
+// Service.Run whose ctx expires mid-job returns the partial result
+// beside the deadline error, not a nil result.
+func TestServiceRunPartialOnDeadline(t *testing.T) {
+	svc := newService(t, service.Config{Workers: 2, Machine: []eqasm.Option{eqasm.WithSeed(5)}})
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	const shots = 5_000_000 // far more than can run before the deadline
+	res, err := svc.Run(ctx, service.JobSpec{Source: service.SmokePrograms()["bell"], Shots: shots})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want context.DeadlineExceeded", err)
+	}
+	if res == nil || res.Shots <= 0 || res.Shots >= shots {
+		t.Fatalf("result = %+v, want a partial run", res)
+	}
+	sum := 0
+	for k, n := range res.Histogram {
+		if k != "00" && k != "11" {
+			t.Fatalf("non-Bell outcome %q in partial histogram %v", k, res.Histogram)
+		}
+		sum += n
+	}
+	if sum != res.Shots {
+		t.Fatalf("histogram counts %d shots, result says %d", sum, res.Shots)
+	}
+}
+
 // When queued work fills the bounded queue, further submits are
 // rejected with ErrQueueFull, and the service recovers once it drains.
 func TestQueueSaturation(t *testing.T) {

@@ -361,27 +361,3 @@ func normalizeBatch(ctx context.Context, reqs []RunRequest) (context.Context, er
 	}
 	return ctx, nil
 }
-
-// awaitFirst blocks on the job and unwraps the single-request result.
-// Waiting on Done (not a ctx) is deliberate: the job's lifetime is
-// bound to its submit ctx, so cancellation finalizes the driver
-// promptly and the partial Result survives alongside the error.
-func awaitFirst(job *Job) (*Result, error) {
-	<-job.Done()
-	results, err := job.Results()
-	var res *Result
-	if len(results) > 0 {
-		res = results[0]
-	}
-	return res, err
-}
-
-// runViaSubmit is the Run sugar shared by every Backend: one request
-// through Submit, block to completion, unwrap the single result.
-func runViaSubmit(ctx context.Context, b Backend, p *Program, opts RunOptions) (*Result, error) {
-	job, err := b.Submit(ctx, RunRequest{Program: p, Options: opts})
-	if err != nil {
-		return nil, err
-	}
-	return awaitFirst(job)
-}

@@ -384,7 +384,8 @@ func TestSubmitContextCancelsBatch(t *testing.T) {
 
 // A ctx that is already dead at submit time still yields the contract
 // shapes: RunStream delivers a terminal Err (not a silent clean close)
-// and Run returns a non-nil zero-shot Result alongside the error.
+// and Run returns a non-nil zero-shot Result, with a non-nil
+// histogram, alongside the ctx's cancellation cause.
 func TestPreCancelledContext(t *testing.T) {
 	sim, err := eqasm.NewSimulator(eqasm.WithSeed(1))
 	if err != nil {
@@ -394,26 +395,44 @@ func TestPreCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	stream, err := sim.RunStream(ctx, prog, eqasm.RunOptions{Shots: 100})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var terminal error
-	for sr := range stream {
-		if sr.Err != nil {
-			terminal = sr.Err
-		}
-	}
-	if !errors.Is(terminal, context.Canceled) {
-		t.Fatalf("terminal = %v, want context.Canceled", terminal)
-	}
-	res, err := sim.Run(ctx, prog, eqasm.RunOptions{Shots: 100})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("Run err = %v, want context.Canceled", err)
-	}
-	if res == nil || res.Shots != 0 {
-		t.Fatalf("Run result = %+v, want non-nil zero-shot partial", res)
+	errX := errors.New("caller gave up")
+	for _, tc := range []struct {
+		name  string
+		ctx   func() context.Context
+		cause error
+	}{
+		{"cancel", func() context.Context {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			return ctx
+		}, context.Canceled},
+		{"cancel-cause", func() context.Context {
+			ctx, cancel := context.WithCancelCause(context.Background())
+			cancel(errX)
+			return ctx
+		}, errX},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			stream, err := sim.RunStream(tc.ctx(), prog, eqasm.RunOptions{Shots: 100})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var terminal error
+			for sr := range stream {
+				if sr.Err != nil {
+					terminal = sr.Err
+				}
+			}
+			if !errors.Is(terminal, tc.cause) {
+				t.Fatalf("terminal = %v, want %v", terminal, tc.cause)
+			}
+			res, err := sim.Run(tc.ctx(), prog, eqasm.RunOptions{Shots: 100})
+			if !errors.Is(err, tc.cause) {
+				t.Fatalf("Run err = %v, want %v", err, tc.cause)
+			}
+			if res == nil || res.Shots != 0 || res.Histogram == nil {
+				t.Fatalf("Run result = %+v, want non-nil zero-shot partial with a histogram", res)
+			}
+		})
 	}
 }

@@ -21,7 +21,7 @@ import (
 // relevant to them. Options that select the instruction-set context
 // (topology, hardware configuration, instantiation) determine what a
 // program means; options that select the execution context (noise,
-// seed, density matrix, tracing) determine how a Simulator runs it.
+// seed, chip backend, tracing) determine how a Simulator runs it.
 type Option func(*config)
 
 // config is the resolved option set.
@@ -35,7 +35,6 @@ type config struct {
 
 	noise       NoiseModel
 	seed        int64
-	density     bool
 	backendName string
 	fusionOff   bool
 	trace       bool
@@ -146,19 +145,10 @@ func WithCalibratedNoise() Option {
 	return func(c *config) { c.noise = CalibratedNoise() }
 }
 
-// WithDensityMatrix selects the exact density-matrix chip simulator
-// instead of the trajectory state-vector backend (small registers only).
-// It is shorthand for WithBackend("densitymatrix") at auto-selection
-// time.
-func WithDensityMatrix() Option {
-	return func(c *config) { c.density = true }
-}
-
 // Backend names accepted by WithBackend and RunOptions.Backend. A
 // Result reports which one a run actually executed on.
 const (
-	// BackendAuto picks per program: the density matrix when
-	// WithDensityMatrix is set, the state vector when noise is
+	// BackendAuto picks per program: the state vector when noise is
 	// configured, the stabilizer tableau for noiseless Clifford-only
 	// programs, and the state vector otherwise. This is the default.
 	BackendAuto = "auto"

@@ -143,39 +143,57 @@ func TestAssembleErrorPositions(t *testing.T) {
 	}
 }
 
-// Runtime faults surface as *RuntimeError carrying PC and cycle.
+// Runtime faults surface as *RuntimeError carrying PC and cycle. A run
+// whose every shot faults still reports the plan's static gate profile
+// (the H before the fault), since no shot completed to report the
+// kernels it executed.
 func TestRuntimeErrorCarriesPCAndCycle(t *testing.T) {
-	prog, err := eqasm.Assemble("LDI R1, -8\nLD R2, R1(0)\nSTOP")
-	if err != nil {
-		t.Fatal(err)
-	}
 	sim, err := eqasm.NewSimulator()
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := sim.Run(context.Background(), prog, eqasm.RunOptions{Shots: 3})
-	if err == nil {
-		t.Fatal("faulting program ran clean")
-	}
-	var rerr *eqasm.RuntimeError
-	if !errors.As(err, &rerr) {
-		t.Fatalf("error is %T, want *RuntimeError", err)
-	}
-	if rerr.Shot != 0 {
-		t.Fatalf("failing shot = %d, want 0", rerr.Shot)
-	}
-	if rerr.PC != 1 {
-		t.Fatalf("faulting PC = %d, want 1 (the LD)", rerr.PC)
-	}
-	if rerr.Cycle < 0 {
-		t.Fatalf("cycle = %d, want >= 0", rerr.Cycle)
-	}
-	var merr *microarch.RuntimeError
-	if !errors.As(err, &merr) {
-		t.Fatal("RuntimeError does not unwrap to the microarchitectural fault")
-	}
-	if res == nil || res.Shots != 0 {
-		t.Fatalf("partial result = %+v, want 0 completed shots", res)
+	for _, tc := range []struct {
+		name     string
+		src      string
+		pc       int
+		gateKind string // "" when the program has no gate site
+	}{
+		{"classical", "LDI R1, -8\nLD R2, R1(0)\nSTOP", 1, ""},
+		{"after-gate", "SMIS S0, {0}\nH S0\nLDI R1, -8\nLD R2, R1(0)\nSTOP", 3, "gate1.hadamard"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			prog, err := eqasm.Assemble(tc.src)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := sim.Run(context.Background(), prog, eqasm.RunOptions{Shots: 3})
+			if err == nil {
+				t.Fatal("faulting program ran clean")
+			}
+			var rerr *eqasm.RuntimeError
+			if !errors.As(err, &rerr) {
+				t.Fatalf("error is %T, want *RuntimeError", err)
+			}
+			if rerr.Shot != 0 {
+				t.Fatalf("failing shot = %d, want 0", rerr.Shot)
+			}
+			if rerr.PC != tc.pc {
+				t.Fatalf("faulting PC = %d, want %d (the LD)", rerr.PC, tc.pc)
+			}
+			if rerr.Cycle < 0 {
+				t.Fatalf("cycle = %d, want >= 0", rerr.Cycle)
+			}
+			var merr *microarch.RuntimeError
+			if !errors.As(err, &merr) {
+				t.Fatal("RuntimeError does not unwrap to the microarchitectural fault")
+			}
+			if res == nil || res.Shots != 0 {
+				t.Fatalf("partial result = %+v, want 0 completed shots", res)
+			}
+			if tc.gateKind != "" && res.GateProfile[tc.gateKind] == 0 {
+				t.Fatalf("gate profile %v lacks the static %q site", res.GateProfile, tc.gateKind)
+			}
+		})
 	}
 }
 
